@@ -1,8 +1,9 @@
 """Fused vs. unfused filter-mixer step time.
 
-The fused :func:`spectral_filter_mixed` op runs one FFT pair forward
-and one backward per mixer layer, where the seed's two-call path ran
-two of each on the same input.  This benchmark times one full
+The fused :func:`spectral_filter` op applies both branches' combined
+filter on one FFT pair forward and one backward per mixer layer; the
+unfused path calls it once per branch, running two of each on the same
+input.  This benchmark times one full
 forward+backward through a layer's ``mix_spectra`` under both regimes
 on realistic geometry and records the measured ratio, so the repo's
 perf trajectory is tracked alongside the paper artifacts.
@@ -44,10 +45,16 @@ def fused_step(layer, x):
     return float(out.data.sum())
 
 
+def branch_outputs(layer, inp):
+    """Each branch filtered on its own FFT pair (weight 1)."""
+    dfs = spectral_filter(inp, [(layer.dfs_real, layer.dfs_imag, layer.dfs_mask, 1.0)])
+    sfs = spectral_filter(inp, [(layer.sfs_real, layer.sfs_imag, layer.sfs_mask, 1.0)])
+    return dfs, sfs
+
+
 def unfused_step(layer, x):
     inp = Tensor(x, requires_grad=True)
-    dfs = spectral_filter(inp, layer.dfs_real, layer.dfs_imag, layer.dfs_mask)
-    sfs = spectral_filter(inp, layer.sfs_real, layer.sfs_imag, layer.sfs_mask)
+    dfs, sfs = branch_outputs(layer, inp)
     out = F.add(F.mul(dfs, 1.0 - layer.gamma), F.mul(sfs, layer.gamma))
     F.sum(out).backward()
     return float(out.data.sum())
@@ -77,8 +84,7 @@ def test_fused_not_slower_and_identical(capsys):
 
     inp = Tensor(x)
     fused_out = layer.mix_spectra(inp)
-    dfs = spectral_filter(inp, layer.dfs_real, layer.dfs_imag, layer.dfs_mask)
-    sfs = spectral_filter(inp, layer.sfs_real, layer.sfs_imag, layer.sfs_mask)
+    dfs, sfs = branch_outputs(layer, inp)
     unfused_out = (1.0 - layer.gamma) * dfs.data + layer.gamma * sfs.data
     assert np.allclose(fused_out.data, unfused_out, atol=1e-10)
 

@@ -23,9 +23,9 @@ full-catalog cross-entropy (``test_train_step_chunked_ce``).
 import numpy as np
 import pytest
 
+from repro.autograd.workspace import fast_dropout_masks
 from repro.baselines import build_baseline
 from repro.data.batching import BatchIterator
-from repro.nn.workspace import fast_dropout_masks
 from repro.optim import Adam
 from repro.train import TrainConfig, Trainer
 

@@ -31,12 +31,7 @@ from repro.autograd.tensor import (
 )
 from repro.autograd import workspace
 from repro.autograd import functional
-from repro.autograd.spectral import (
-    spectral_filter,
-    spectral_filter_mixed,
-    combined_filter,
-    spectral_filter_reference,
-)
+from repro.autograd.spectral import spectral_filter, combined_filter
 from repro.autograd.gradcheck import gradcheck
 from repro.autograd.graph import (
     GraphCaptureError,
@@ -60,8 +55,6 @@ __all__ = [
     "functional",
     "workspace",
     "spectral_filter",
-    "spectral_filter_mixed",
     "combined_filter",
-    "spectral_filter_reference",
     "gradcheck",
 ]

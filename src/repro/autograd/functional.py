@@ -721,12 +721,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _make(forward(), (a,), backward, forward)
 
 
-def cross_entropy(
-    logits,
-    targets,
-    ignore_index: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> Tensor:
+def cross_entropy(logits, targets, ignore_index: Optional[int] = None) -> Tensor:
     """Mean softmax cross-entropy over the last axis.
 
     Parameters
@@ -738,25 +733,12 @@ def cross_entropy(
     ignore_index:
         Optional target value whose positions contribute zero loss
         (used for padding in masked-item objectives).
-    chunk_size:
-        When set (and smaller than ``num_classes``), the softmax
-        normalizer and the backward's softmax are streamed over class
-        chunks of this width instead of materializing full-size
-        ``exp``/``log_probs`` temporaries — the memory-bounded path for
-        production-size vocabularies.  Values match the dense path up
-        to floating-point reassociation.  ``chunk_size >= num_classes``
-        clamps to a single chunk (the dense path); ``chunk_size <= 0``
-        raises.  To also avoid materializing the logits themselves, use
-        :func:`linear_cross_entropy`.
+
+    To stream over a large vocabulary without materializing the
+    logits, use :func:`linear_cross_entropy`.
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1 or None, got {chunk_size}")
     logits = as_tensor(logits)
     targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-
-    num_classes = logits.shape[-1]
-    if chunk_size is not None and chunk_size < num_classes:
-        return _chunked_cross_entropy(logits, targets, ignore_index, int(chunk_size))
 
     # Target-derived state is recomputed inside ``forward`` — the target
     # array object is baked into the closure, its *contents* are step
@@ -786,65 +768,6 @@ def cross_entropy(
         soft[rows, safe_targets] -= 1.0
         soft *= (valid / count)[:, None]
         return ((grad * soft).reshape(logits.shape).astype(logits.dtype, copy=False),)
-
-    return _make(forward(), (logits,), backward, forward)
-
-
-def _chunked_cross_entropy(
-    logits: Tensor,
-    targets: np.ndarray,
-    ignore_index: Optional[int],
-    chunk_size: int,
-) -> Tensor:
-    """Streamed CE over materialized logits: no full-width temporaries.
-
-    Two chunked passes (row max, then ``sum(exp(..))``) replace the
-    dense path's full ``(R, V)`` ``shifted``/``exp``/``log_probs``
-    arrays; the backward writes each softmax chunk straight into the
-    gradient buffer.  Same mean-CE value as the dense path up to
-    summation order.
-    """
-    row_max = log_z = rows = safe_targets = valid = count = None
-
-    def forward():
-        nonlocal row_max, log_z, rows, safe_targets, valid, count
-        flat_logits = logits.data.reshape(-1, logits.data.shape[-1])
-        flat_targets = targets.reshape(-1).astype(np.int64)
-        if ignore_index is not None:
-            valid = flat_targets != ignore_index
-        else:
-            valid = np.ones_like(flat_targets, dtype=bool)
-        count = max(int(valid.sum()), 1)
-        safe_targets = np.where(valid, flat_targets, 0)
-        rows = np.arange(flat_targets.shape[0])
-        num_classes = flat_logits.shape[1]
-        row_max = flat_logits[:, :chunk_size].max(axis=1)
-        for c0 in range(chunk_size, num_classes, chunk_size):
-            np.maximum(
-                row_max, flat_logits[:, c0 : c0 + chunk_size].max(axis=1), out=row_max
-            )
-        sum_exp = np.zeros_like(row_max)
-        for c0 in range(0, num_classes, chunk_size):
-            chunk = flat_logits[:, c0 : c0 + chunk_size] - row_max[:, None]
-            np.exp(chunk, out=chunk)
-            sum_exp += chunk.sum(axis=1)
-        log_z = np.log(sum_exp)
-        picked = flat_logits[rows, safe_targets] - row_max - log_z
-        loss = -(picked * valid).sum() / count
-        return np.asarray(loss, dtype=logits.data.dtype)
-
-    def backward(grad):
-        flat_logits = logits.data.reshape(-1, logits.data.shape[-1])
-        num_classes = flat_logits.shape[1]
-        out = np.empty_like(flat_logits)
-        shift = row_max + log_z
-        for c0 in range(0, num_classes, chunk_size):
-            sl = slice(c0, c0 + chunk_size)
-            np.subtract(flat_logits[:, sl], shift[:, None], out=out[:, sl])
-            np.exp(out[:, sl], out=out[:, sl])
-        out[rows, safe_targets] -= 1.0
-        out *= (grad * valid / count)[:, None]
-        return (out.reshape(logits.shape).astype(logits.dtype, copy=False),)
 
     return _make(forward(), (logits,), backward, forward)
 

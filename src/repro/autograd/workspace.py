@@ -50,8 +50,17 @@ consumes the generator stream differently, so per-seed masks change
 error below 8e-6).  See ``docs/PERFORMANCE.md``.
 
 Layering: this module imports only :mod:`repro.autograd.tensor`; both
-the autograd op library and the ``repro.nn`` stack build on it.  The
-public, documented entry point is :mod:`repro.nn.workspace`.
+the autograd op library and the ``repro.nn`` stack build on it, and
+user code imports it directly::
+
+    from repro.autograd import workspace
+
+    ws = workspace.get_workspace()
+    print(ws)             # scratch/cached entry counts, hit rate, bytes
+    ws.clear()            # free the hot-path buffers between experiments
+
+    with workspace.fast_dropout_masks():  # cheap, non-seed-compatible masks
+        train_one_epoch(model)
 """
 
 from __future__ import annotations

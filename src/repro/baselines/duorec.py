@@ -14,7 +14,7 @@ pass, dropout view, same-target view — run as one stacked
 on the fused attention fast path (:mod:`repro.nn.attention`); the many
 dropout sites also make DuoRec the baseline that benefits most from
 the fast dropout-mask flag
-(:func:`repro.nn.workspace.set_fast_dropout_masks`).
+(:func:`repro.autograd.workspace.set_fast_dropout_masks`).
 """
 
 from __future__ import annotations

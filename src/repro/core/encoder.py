@@ -15,7 +15,7 @@ override :meth:`encode_states`.
 
 Hot-path notes: the embedding lookup's backward and every dropout site
 here run through the shared per-step workspace
-(:mod:`repro.nn.workspace`), and the ``states[:, -1]`` user-vector
+(:mod:`repro.autograd.workspace`), and the ``states[:, -1]`` user-vector
 slice takes the basic-index gradient fast path — so the shared outer
 structure stays cheap while the per-model encoders (fused attention,
 fused spectral mixing) do the heavy lifting.  Evaluation scoring uses
@@ -30,10 +30,10 @@ import numpy as np
 from repro.autograd import functional as F
 from repro.autograd.graph import GraphCaptureError, is_capturing, record_host
 from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.workspace import dropout_views
 from repro.data.negative_sampling import NegativeSampler
 from repro.nn import Dropout, Embedding, GELU, LayerNorm, Linear, Module
 from repro.nn import init as nn_init
-from repro.nn.workspace import dropout_views
 
 __all__ = ["SequentialEncoderBase", "PointwiseFeedForward"]
 
@@ -198,7 +198,7 @@ class SequentialEncoderBase(Module):
         fattening every GEMM and FFT.
 
         Inside the pass every dropout site draws its masks **per
-        view** (:func:`repro.nn.workspace.dropout_views`), consuming
+        view** (:func:`repro.autograd.workspace.dropout_views`), consuming
         each generator exactly like ``V`` separate passes would, so
         the stacked encode is the same stochastic model as the
         sequential one: per-view masks identical, float64 losses equal

@@ -8,9 +8,10 @@ Each block:
    learnable *static* filter restricted to the layer's split band
    (Eq. 25),
 3. mixes the two spectra ``(1-gamma) * X_D + gamma * X_S`` and inverse
-   FFTs back to time (Eqs. 26-27) — by linearity of the inverse FFT the
-   implementation mixes the two filtered time signals, which is
-   mathematically identical,
+   FFTs back to time (Eqs. 26-27) — by linearity the implementation
+   mixes the two *filters* in the frequency domain and applies the
+   combined filter to the spectrum once, which is mathematically
+   identical,
 4. residual + LayerNorm + dropout (Eq. 28),
 5. pointwise FFN with the densely-residual LayerNorm of Eq. 30.
 """
@@ -20,17 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import functional as F
-from repro.autograd.spectral import (
-    combined_filter,
-    num_frequency_bins,
-    spectral_filter,
-    spectral_filter_mixed,
-)
+from repro.autograd.spectral import combined_filter, num_frequency_bins, spectral_filter
 from repro.autograd.tensor import Tensor
+from repro.autograd.workspace import ParamCache
 from repro.core.encoder import PointwiseFeedForward
 from repro.nn import Dropout, LayerNorm, Module, Parameter
 from repro.nn import init as nn_init
-from repro.nn.workspace import ParamCache
 
 __all__ = ["FilterMixerLayer"]
 
@@ -106,8 +102,8 @@ class FilterMixerLayer(Module):
         self.ffn = PointwiseFeedForward(hidden_dim, rng=rng, dtype=dtype)
         self.ffn_norm = LayerNorm(hidden_dim, dtype=dtype)
         self.ffn_dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**32)))
-        # Parameter-version-keyed combined complex filter for the fused
-        # path; see _combined_filter for the invalidation contract.
+        # Parameter-version-keyed combined complex filter; see
+        # _combined_filter for the invalidation contract.
         self._filt_cache = ParamCache()
 
     @staticmethod
@@ -118,33 +114,38 @@ class FilterMixerLayer(Module):
         return mask
 
     # ------------------------------------------------------------------
-    def _combined_filter(self) -> np.ndarray:
-        """Cached ``(1-γ)·mask_D·W_D + γ·mask_S·W_S`` for the fused op.
+    def _branches(self) -> list:
+        """``(w_real, w_imag, mask, weight)`` per active branch.
 
-        Backed by a :class:`~repro.nn.workspace.ParamCache` (the same
-        mechanism attention uses for its concatenated Q/K/V weight):
-        keyed on the global parameter-mutation epoch plus the identity
-        of the parameter payloads, so the combined filter is rebuilt
-        exactly once per parameter update even though the contrastive
-        objective encodes every batch three times.  Call
+        Both branches mix with weights ``(1-γ, γ)`` (Eq. 26); a lone
+        branch (ablations w/oD and w/oS, FMLP-Rec) has weight 1.
+        """
+        if self.dfs_mask is None:
+            return [(self.sfs_real, self.sfs_imag, self.sfs_mask, 1.0)]
+        if self.sfs_mask is None:
+            return [(self.dfs_real, self.dfs_imag, self.dfs_mask, 1.0)]
+        return [
+            (self.dfs_real, self.dfs_imag, self.dfs_mask, 1.0 - self.gamma),
+            (self.sfs_real, self.sfs_imag, self.sfs_mask, self.gamma),
+        ]
+
+    def _combined_filter(self) -> np.ndarray:
+        """Cached :func:`combined_filter` of the active branches.
+
+        Backed by a :class:`~repro.autograd.workspace.ParamCache` (the
+        same mechanism attention uses for its concatenated Q/K/V
+        weight): keyed on the global parameter-mutation epoch plus the
+        identity of the parameter payloads, so the combined filter is
+        rebuilt exactly once per parameter update even though the
+        contrastive objective encodes every batch three times.  Call
         :meth:`invalidate_filter_cache` after mutating filter parameter
         ``.data`` in place by hand.
         """
-        payloads = (
-            self.dfs_real.data,
-            self.dfs_imag.data,
-            self.sfs_real.data,
-            self.sfs_imag.data,
+        branches = self._branches()
+        payloads = tuple(w.data for b in branches for w in b[:2])
+        return self._filt_cache.get(
+            payloads, lambda: combined_filter(branches), extra=self.gamma
         )
-
-        def build():
-            return combined_filter(
-                self.dfs_real, self.dfs_imag, self.dfs_mask,
-                self.sfs_real, self.sfs_imag, self.sfs_mask,
-                self.gamma,
-            )
-
-        return self._filt_cache.get(payloads, build, extra=self.gamma)
 
     def invalidate_filter_cache(self) -> None:
         """Drop the cached combined filter (after manual weight edits)."""
@@ -153,28 +154,15 @@ class FilterMixerLayer(Module):
     def mix_spectra(self, x: Tensor) -> Tensor:
         """Eqs. 21 + 25 + 26-27: filter, mix, return time-domain signal.
 
-        Both branches active -> the fused single-FFT-pair op; single
-        branch (ablations w/oD and w/oS) -> the original per-branch
-        :func:`spectral_filter`, byte-for-byte the seed behaviour.
-
-        The combined filter is handed over as a *provider* (the bound
+        Every configuration runs the one fused single-FFT-pair op.  The
+        combined filter is handed over as a *provider* (the bound
         cached method) rather than a precomputed array so static-graph
         replays re-fetch it after each optimizer step; the
-        :class:`~repro.nn.workspace.ParamCache` behind it still
+        :class:`~repro.autograd.workspace.ParamCache` behind it still
         collapses the three contrastive encodes of one step to a single
         recombination.
         """
-        if self.dfs_mask is None:
-            return spectral_filter(x, self.sfs_real, self.sfs_imag, self.sfs_mask)
-        if self.sfs_mask is None:
-            return spectral_filter(x, self.dfs_real, self.dfs_imag, self.dfs_mask)
-        return spectral_filter_mixed(
-            x,
-            self.dfs_real, self.dfs_imag, self.dfs_mask,
-            self.sfs_real, self.sfs_imag, self.sfs_mask,
-            self.gamma,
-            filt_provider=self._combined_filter,
-        )
+        return spectral_filter(x, self._branches(), filt_provider=self._combined_filter)
 
     def forward(self, x: Tensor) -> Tensor:
         filtered = self.mix_spectra(x)

@@ -5,10 +5,10 @@ The package mirrors the ``torch.nn`` layout at miniature scale:
 registration (:mod:`repro.nn.module`), the concrete layers live in one
 file each, and :mod:`repro.nn.init` owns weight initialization plus the
 process-wide parameter-dtype knob (float64 default, float32 fast path).
-:mod:`repro.nn.workspace` is the shared per-step compute workspace that
-the hot paths (fused Q/K/V attention, the spectral mixer's FFT scratch,
-dropout mask draws) allocate through; ``pydoc repro.nn.<module>`` on
-any submodule documents its shapes and dtype contract.
+The hot paths (fused Q/K/V attention, the spectral mixer's FFT scratch,
+dropout mask draws) allocate through the shared per-step compute
+workspace, :mod:`repro.autograd.workspace`; ``pydoc repro.nn.<module>``
+on any submodule documents its shapes and dtype contract.
 """
 
 from repro.nn.module import Module, Parameter, ModuleList
@@ -21,7 +21,6 @@ from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.recurrent import GRU
 from repro.nn.conv import HorizontalConv, VerticalConv
 from repro.nn import init
-from repro.nn import workspace
 
 __all__ = [
     "Module",
@@ -40,5 +39,4 @@ __all__ = [
     "HorizontalConv",
     "VerticalConv",
     "init",
-    "workspace",
 ]

@@ -14,8 +14,8 @@ dtype (float32 or float64, see :mod:`repro.nn.init`).
 
 Fused fast path
 ---------------
-By default (``fused=True``) the layer runs on the shared per-step
-workspace (:mod:`repro.nn.workspace`):
+The layer runs on the shared per-step workspace
+(:mod:`repro.autograd.workspace`):
 
 - the three Q/K/V projections collapse into a **single** ``(dim, 3*dim)``
   GEMM against a parameter-version-cached concatenation of the three
@@ -30,12 +30,11 @@ workspace (:mod:`repro.nn.workspace`):
   context directly — no separate transpose/reshape autograd nodes;
 - causal and diagonal mask patterns are cached per sequence length.
 
-``fused=False`` (or any projection built without a bias) falls back to
-the seed implementation composed of primitive autograd ops; the test
-suite checks both paths agree on values and gradients in both dtypes.
-The two paths draw identical dropout masks per seed — the probability
-tensor has the same shape in both — but fused values differ from
-unfused at the usual floating-point reassociation tolerance.
+The test suite checks this path against a reference composition of
+primitive autograd ops (``tests/oracles.py``) on values and gradients
+in both dtypes.  Both draw identical dropout masks per seed — the
+probability tensor has the same shape in both — but values differ at
+the usual floating-point reassociation tolerance.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ import numpy as np
 from repro.autograd import functional as F
 from repro.autograd.graph import record_host, record_node
 from repro.autograd.tensor import Tensor, is_grad_enabled
+from repro.autograd.workspace import ParamCache, get_workspace
 from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
 from repro.nn.module import Module
-from repro.nn.workspace import ParamCache, get_workspace
 
 __all__ = ["MultiHeadSelfAttention", "causal_mask"]
 
@@ -221,10 +220,6 @@ class MultiHeadSelfAttention(Module):
     causal:
         When True a causal (left-to-right) mask is applied, as in
         SASRec.  Bidirectional models (BERT4Rec) pass False.
-    fused:
-        Run the fused Q/K/V + output-projection fast path (default).
-        ``False`` uses the reference composition of primitive ops; see
-        the module docstring for the equivalence contract.
     """
 
     def __init__(
@@ -235,7 +230,6 @@ class MultiHeadSelfAttention(Module):
         causal: bool = True,
         rng: np.random.Generator | None = None,
         dtype=None,
-        fused: bool = True,
     ) -> None:
         super().__init__()
         if dim % num_heads != 0:
@@ -245,7 +239,6 @@ class MultiHeadSelfAttention(Module):
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
         self.causal = causal
-        self.fused = fused
         self.query = Linear(dim, dim, rng=rng, dtype=dtype)
         self.key = Linear(dim, dim, rng=rng, dtype=dtype)
         self.value = Linear(dim, dim, rng=rng, dtype=dtype)
@@ -327,10 +320,6 @@ class MultiHeadSelfAttention(Module):
         return block
 
     # ------------------------------------------------------------------
-    def _split_heads(self, x: Tensor, batch: int, length: int) -> Tensor:
-        x = F.reshape(x, (batch, length, self.num_heads, self.head_dim))
-        return F.transpose(x, (0, 2, 1, 3))  # (B, H, N, hd)
-
     def forward(self, x: Tensor, key_padding_mask: np.ndarray | None = None) -> Tensor:
         """Attend over the sequence axis.
 
@@ -342,14 +331,7 @@ class MultiHeadSelfAttention(Module):
             Optional boolean array of shape ``(B, N)`` that is True at
             padding positions (those keys are never attended to).
         """
-        batch, length, _ = x.shape
-        block = self._block_mask(length, key_padding_mask)
-        biased = all(
-            proj.bias is not None for proj in (self.query, self.key, self.value, self.out)
-        )
-        if not (self.fused and biased):
-            return self._forward_unfused(x, block, batch, length)
-
+        block = self._block_mask(x.shape[1], key_padding_mask)
         q, k, v = _fused_qkv_heads(
             x,
             (
@@ -366,21 +348,3 @@ class MultiHeadSelfAttention(Module):
         probs = self.attn_dropout(F.softmax(scores, axis=-1))
         context = F.matmul(probs, v)  # (B, H, N, hd)
         return _attention_output(context, self.out.weight, self.out.bias)
-
-    def _forward_unfused(
-        self, x: Tensor, block: np.ndarray, batch: int, length: int
-    ) -> Tensor:
-        """Reference path: three projections, explicit scale and merges."""
-        q = self._split_heads(self.query(x), batch, length)
-        k = self._split_heads(self.key(x), batch, length)
-        v = self._split_heads(self.value(x), batch, length)
-
-        scores = F.matmul(q, F.transpose(k, (0, 1, 3, 2)))  # (B, H, N, N)
-        scores = F.mul(scores, 1.0 / np.sqrt(self.head_dim))
-        scores = F.masked_fill(scores, block, -1e9)
-
-        probs = self.attn_dropout(F.softmax(scores, axis=-1))
-        context = F.matmul(probs, v)  # (B, H, N, hd)
-        context = F.transpose(context, (0, 2, 1, 3))
-        context = F.reshape(context, (batch, length, self.dim))
-        return self.out(context)

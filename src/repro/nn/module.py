@@ -12,7 +12,7 @@ Dtype contract: parameters are created in the dtype resolved by
 that rebind or restore parameter payloads (``to``, ``load_state_dict``)
 bump the global parameter version so parameter-derived caches — the
 filter mixer's combined filter, attention's concatenated Q/K/V weight
-(:class:`repro.nn.workspace.ParamCache`) — rebuild on the next use;
+(:class:`repro.autograd.workspace.ParamCache`) — rebuild on the next use;
 editing ``param.data`` in place by hand requires invalidating those
 caches yourself.
 """
@@ -199,7 +199,7 @@ class Module:
         """Snapshot every random stream owned by this module tree.
 
         Returns ``{path: state}`` where ``state`` is a JSON-serializable
-        bit-state snapshot (:func:`repro.nn.workspace.generator_state`)
+        bit-state snapshot (:func:`repro.autograd.workspace.generator_state`)
         or a delegate's own ``rng_state_dict``.  Together with
         :meth:`state_dict` and the optimizer state this is everything a
         bitwise-identical training resume needs from the model.

@@ -6,7 +6,7 @@ parameters in the resolved dtype and output/gradients keep the input
 dtype.  The underlying op (:func:`repro.autograd.functional.layer_norm`)
 is fused: forward folds its intermediates in place, and the backward
 routes its transient product buffer through the shared per-step
-workspace (:mod:`repro.nn.workspace`).
+workspace (:mod:`repro.autograd.workspace`).
 """
 
 from __future__ import annotations

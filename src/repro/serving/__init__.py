@@ -18,7 +18,9 @@ The production-facing counterpart of the training stack (ROADMAP
   request API tying them together behind a micro-batching collector,
   with per-request deadlines, admission control and collector-failure
   containment (typed errors: :class:`~repro.serving.service.DeadlineExceeded`,
-  :class:`~repro.serving.service.Overloaded`).
+  :class:`~repro.serving.service.Overloaded`, and
+  :class:`~repro.serving.service.InvalidItemId` for an observed id
+  outside the catalog).
 
 Entry points: ``python -m repro.serving.cli`` (the ``repro-serve``
 command) for replay benchmarks and ad-hoc queries;
@@ -32,6 +34,7 @@ from repro.serving.session import SessionCache, UserSession
 from repro.serving.table import ItemTable
 from repro.serving.service import (
     DeadlineExceeded,
+    InvalidItemId,
     Overloaded,
     RecommenderService,
     ServingConfig,
@@ -48,4 +51,5 @@ __all__ = [
     "ServingError",
     "DeadlineExceeded",
     "Overloaded",
+    "InvalidItemId",
 ]

@@ -98,6 +98,7 @@ __all__ = [
     "ServingError",
     "DeadlineExceeded",
     "Overloaded",
+    "InvalidItemId",
 ]
 
 #: accepted admission policies for a full request queue
@@ -121,6 +122,10 @@ class DeadlineExceeded(ServingError):
 
 class Overloaded(ServingError):
     """The request was shed by admission control (queue at capacity)."""
+
+
+class InvalidItemId(ValueError):
+    """An observed item id is negative or above the catalog's ``num_items``."""
 
 
 @dataclass
@@ -319,22 +324,34 @@ class RecommenderService:
     # Event ingestion
     # ------------------------------------------------------------------
     def observe(self, user_id, item_id: int) -> None:
-        """Record one interaction event (O(1); no encode happens here)."""
+        """Record one interaction event (O(1); no encode happens here).
+
+        Raises :class:`InvalidItemId` for an id outside the catalog,
+        leaving the session untouched.
+        """
+        item_id = int(item_id)
+        if not 0 <= item_id <= self.num_items:  # the session rejects padding id 0
+            raise InvalidItemId(f"item id {item_id} is outside 1..{self.num_items}")
         with self._lock:
             self.sessions.get_or_create(user_id).append(item_id)
-            if 1 <= int(item_id) <= self.num_items:
-                self._fallback_ranker.observe(item_id)
+            self._fallback_ranker.observe(item_id)
 
     def observe_history(self, user_id, item_ids: Iterable[int]) -> None:
-        """Reset a user's session to a known history (cold start)."""
+        """Reset a user's session to a known history (cold start).
+
+        Raises :class:`InvalidItemId` for any id outside the catalog,
+        leaving the session untouched.
+        """
         items = np.asarray(
             item_ids if isinstance(item_ids, np.ndarray) else list(item_ids),
             dtype=np.int64,
         )
+        bad = items[(items < 0) | (items > self.num_items)]
+        if bad.size:
+            raise InvalidItemId(f"item ids {bad[:5].tolist()} are outside 1..{self.num_items}")
         with self._lock:
             self.sessions.get_or_create(user_id).replace_history(items)
-            in_range = items[(items >= 1) & (items <= self.num_items)]
-            self._fallback_ranker.observe_many(in_range)
+            self._fallback_ranker.observe_many(items)
 
     # ------------------------------------------------------------------
     # Recommendation

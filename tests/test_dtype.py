@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.spectral import combined_filter, spectral_filter, spectral_filter_mixed
+from repro.autograd.spectral import combined_filter, spectral_filter
 from repro.autograd.tensor import Tensor, set_default_dtype
 from repro.baselines import BASELINE_NAMES, build_baseline
 from repro.baselines.transformer import TransformerBlock
@@ -184,17 +184,16 @@ def test_spectral_ops_preserve_dtype(dtype, rng):
     x = _param_t(rng, (2, n, d), dtype)
     wr, wi = _param_t(rng, (m, d), dtype), _param_t(rng, (m, d), dtype)
     mask = np.ones(m)
-    _assert_graph_dtype(spectral_filter(x, wr, wi, mask), [x, wr, wi], dtype)
+    _assert_graph_dtype(spectral_filter(x, [(wr, wi, mask, 1.0)]), [x, wr, wi], dtype)
 
     x2 = _param_t(rng, (2, n, d), dtype)
     params = [_param_t(rng, (m, d), dtype) for _ in range(4)]
     dfs_mask = np.array([1, 1, 1, 0, 0], dtype=float)
     sfs_mask = 1.0 - dfs_mask
-    filt = combined_filter(params[0], params[1], dfs_mask, params[2], params[3], sfs_mask, 0.5)
+    branches = [(params[0], params[1], dfs_mask, 0.5), (params[2], params[3], sfs_mask, 0.5)]
+    filt = combined_filter(branches)
     assert filt.dtype == complex_dtype
-    out = spectral_filter_mixed(
-        x2, params[0], params[1], dfs_mask, params[2], params[3], sfs_mask, 0.5, filt=filt
-    )
+    out = spectral_filter(x2, branches, filt_provider=lambda: filt)
     _assert_graph_dtype(out, [x2] + params, dtype)
 
 

@@ -23,6 +23,7 @@ from repro.autograd.graph import (
     is_capturing,
 )
 from repro.autograd.tensor import Tensor
+from repro.autograd.workspace import dropout_views, fast_dropout_masks
 from repro.baselines import build_baseline
 from repro.baselines.fmlprec import FMLPRec
 from repro.baselines.gru4rec import GRU4Rec
@@ -32,7 +33,6 @@ from repro.core import Slime4Rec, SlimeConfig
 from repro.data.batching import Batch
 from repro.data.dataset import SequenceDataset
 from repro.data.synthetic import SyntheticConfig, generate_interactions
-from repro.nn.workspace import dropout_views, fast_dropout_masks
 from repro.optim import Adam, clip_grad_norm
 from repro.train import TrainConfig, Trainer
 

@@ -31,6 +31,7 @@ from repro.data.synthetic import load_preset
 from repro.evaluation.topk import full_sort_topk
 from repro.optim import Adam
 from repro.serving import (
+    InvalidItemId,
     ItemTable,
     RecommenderService,
     ServingConfig,
@@ -368,6 +369,55 @@ class TestServiceCacheCorrectness:
         result = service.recommend("a")
         want = cold_reference(model, [3, 7], service.config.k)
         np.testing.assert_allclose(result.scores, want.scores, rtol=1e-5, atol=1e-6)
+
+
+class TestObserveValidation:
+    """Out-of-catalog ids are rejected where they enter, session untouched."""
+
+    @pytest.mark.parametrize("bad", ["num_items+1", 10**9, -1])
+    def test_observe_rejects_id_and_keeps_session(self, dataset, bad):
+        model = make_model(dataset)
+        service = RecommenderService(model, exact_config())
+        bad_id = service.num_items + 1 if bad == "num_items+1" else bad
+        service.observe_history("u", [3, 7, 9])
+        before = service.recommend("u")
+        window = service.sessions.get("u").window()
+        counts = service.fallback_ranker.counts.copy()
+        with pytest.raises(InvalidItemId):
+            service.observe("u", bad_id)
+        with pytest.raises(InvalidItemId):
+            service.observe("new-user", bad_id)
+        np.testing.assert_array_equal(service.sessions.get("u").window(), window)
+        np.testing.assert_array_equal(service.fallback_ranker.counts, counts)
+        assert service.sessions.get("new-user") is None
+        # the next answer is the model's, not a poisoned-session fallback
+        after = service.recommend("u")
+        assert not after.degraded
+        np.testing.assert_array_equal(after.ids, before.ids)
+        assert service.stats()["model_errors"] == 0
+
+    def test_observe_history_rejects_any_bad_id_atomically(self, dataset):
+        model = make_model(dataset)
+        service = RecommenderService(model, exact_config())
+        service.observe_history("u", [3, 7, 9])
+        window = service.sessions.get("u").window()
+        counts = service.fallback_ranker.counts.copy()
+        for history in ([4, 10**9, 5], [4, -2], [service.num_items + 1]):
+            with pytest.raises(InvalidItemId):
+                service.observe_history("u", history)
+        np.testing.assert_array_equal(service.sessions.get("u").window(), window)
+        np.testing.assert_array_equal(service.fallback_ranker.counts, counts)
+
+    def test_catalog_edges_and_padding_id(self, dataset):
+        model = make_model(dataset)
+        service = RecommenderService(model, exact_config())
+        service.observe("u", 1)
+        service.observe("u", service.num_items)
+        assert service.sessions.get("u").length == 2
+        assert issubclass(InvalidItemId, ValueError)
+        # the padding id keeps its session-level rejection
+        with pytest.raises(ValueError):
+            service.observe("u", 0)
 
 
 class TestServicePathEquivalence:

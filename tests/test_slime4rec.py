@@ -66,6 +66,20 @@ class TestFilterMixerLayer:
         out = layer(Tensor(rng.normal(size=(2, 12, 8))))
         assert out.shape == (2, 12, 8)
 
+    @pytest.mark.parametrize("lone", ["dfs", "sfs"])
+    def test_lone_branch_has_unit_weight(self, rng, lone):
+        """A disabled branch leaves the other at weight 1, whatever gamma is."""
+        from oracles import spectral_filter_reference
+
+        m = num_frequency_bins(12)
+        mask = np.ones(m)
+        masks = (mask, None) if lone == "dfs" else (None, mask)
+        layer = FilterMixerLayer(12, 8, *masks, gamma=0.9, rng=np.random.default_rng(0))
+        x = Tensor(rng.normal(size=(2, 12, 8)))
+        real, imag = getattr(layer, f"{lone}_real"), getattr(layer, f"{lone}_imag")
+        expected = spectral_filter_reference(x, real, imag, mask).data
+        assert np.allclose(layer.mix_spectra(x).data, expected, atol=1e-10)
+
     def test_gamma_zero_equals_dfs_only_mixing(self, rng):
         """With gamma=0 the SFS branch contributes nothing to the mix."""
         m = num_frequency_bins(12)
@@ -76,7 +90,7 @@ class TestFilterMixerLayer:
         mixed = layer.mix_spectra(x).data
         from repro.autograd.spectral import spectral_filter
 
-        dfs_only = spectral_filter(x, layer.dfs_real, layer.dfs_imag, mask).data
+        dfs_only = spectral_filter(x, [(layer.dfs_real, layer.dfs_imag, mask, 1.0)]).data
         assert np.allclose(mixed, dfs_only, atol=1e-10)
 
     def test_mask_bin_count_validated(self, rng):
@@ -105,10 +119,10 @@ class TestFilterMixerLayer:
         layer.invalidate_filter_cache()
         from repro.autograd.spectral import combined_filter
 
-        expected = combined_filter(
-            layer.dfs_real, layer.dfs_imag, layer.dfs_mask,
-            layer.sfs_real, layer.sfs_imag, layer.sfs_mask, layer.gamma,
-        )
+        expected = combined_filter([
+            (layer.dfs_real, layer.dfs_imag, layer.dfs_mask, 1.0 - layer.gamma),
+            (layer.sfs_real, layer.sfs_imag, layer.sfs_mask, layer.gamma),
+        ])
         assert np.allclose(layer._combined_filter(), expected)
 
     def test_gradients_reach_all_parameters(self, rng):

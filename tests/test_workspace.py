@@ -2,8 +2,9 @@
 
 Covers the three hot paths the workspace subsystem rewired:
 
-- fused Q/K/V attention vs. three separate projections (forward and
-  backward, both dtypes, two geometries),
+- fused Q/K/V attention vs. the three-projection reference in
+  ``tests/oracles.py`` (forward and backward, both dtypes, two
+  geometries),
 - shared-workspace FFT products vs. per-call allocation in the spectral
   ops (repeated/interleaved calls must not corrupt values or grads),
 - the fast dropout-mask path (keep rate in expectation, scaling,
@@ -16,11 +17,11 @@ constant caching, ParamCache invalidation).
 import numpy as np
 import pytest
 
+from oracles import attention_reference, spectral_filter_reference
 from repro.autograd import functional as F
-from repro.autograd.spectral import spectral_filter, spectral_filter_mixed
+from repro.autograd.spectral import spectral_filter
 from repro.autograd.tensor import Tensor, bump_parameter_version
-from repro.nn import MultiHeadSelfAttention
-from repro.nn.workspace import (
+from repro.autograd.workspace import (
     ParamCache,
     fast_dropout_masks,
     fast_dropout_masks_enabled,
@@ -28,6 +29,7 @@ from repro.nn.workspace import (
     reset_workspace,
     set_fast_dropout_masks,
 )
+from repro.nn import MultiHeadSelfAttention
 
 DTYPES = [np.float32, np.float64]
 TOL = {np.float32: 1e-4, np.float64: 1e-10}
@@ -111,18 +113,19 @@ class TestStepWorkspace:
 
 
 # ----------------------------------------------------------------------
-# Fused QKV attention vs. three separate projections
+# Fused QKV attention vs. the three-projection reference
 # ----------------------------------------------------------------------
 
-def _attention_pair(dim, heads, dtype, causal=True):
-    fused = MultiHeadSelfAttention(
-        dim, heads, dropout=0.0, causal=causal, rng=np.random.default_rng(0), dtype=dtype
+def _attention_pair(dim, heads, dtype, causal=True, dropout=0.0):
+    """Two identically seeded layers: one runs fused, one the oracle."""
+    fused, reference = (
+        MultiHeadSelfAttention(
+            dim, heads, dropout=dropout, causal=causal,
+            rng=np.random.default_rng(0), dtype=dtype,
+        )
+        for _ in range(2)
     )
-    unfused = MultiHeadSelfAttention(
-        dim, heads, dropout=0.0, causal=causal, rng=np.random.default_rng(0),
-        dtype=dtype, fused=False,
-    )
-    return fused, unfused
+    return fused, reference
 
 
 class TestFusedAttentionEquivalence:
@@ -131,7 +134,7 @@ class TestFusedAttentionEquivalence:
     @pytest.mark.parametrize("padded", [False, True])
     def test_forward_backward_match(self, dtype, geometry, padded):
         batch, length, dim, heads = geometry
-        fused, unfused = _attention_pair(dim, heads, dtype)
+        fused, reference = _attention_pair(dim, heads, dtype)
         rng = np.random.default_rng(42)
         x = rng.standard_normal((batch, length, dim)).astype(dtype)
         pad = None
@@ -141,7 +144,7 @@ class TestFusedAttentionEquivalence:
         x1 = Tensor(x, requires_grad=True)
         x2 = Tensor(x.copy(), requires_grad=True)
         out1 = fused(x1, key_padding_mask=pad)
-        out2 = unfused(x2, key_padding_mask=pad)
+        out2 = attention_reference(reference, x2, key_padding_mask=pad)
         tol = TOL[dtype]
         np.testing.assert_allclose(out1.data, out2.data, atol=tol, rtol=tol)
 
@@ -150,7 +153,7 @@ class TestFusedAttentionEquivalence:
         out2.backward(grad)
         np.testing.assert_allclose(x1.grad, x2.grad, atol=tol, rtol=tol)
         for (name, p1), (_, p2) in zip(
-            fused.named_parameters(), unfused.named_parameters()
+            fused.named_parameters(), reference.named_parameters()
         ):
             assert p1.grad is not None, f"{name} got no grad on the fused path"
             np.testing.assert_allclose(
@@ -160,10 +163,10 @@ class TestFusedAttentionEquivalence:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_bidirectional_match(self, dtype):
         batch, length, dim, heads = GEOMETRIES[0]
-        fused, unfused = _attention_pair(dim, heads, dtype, causal=False)
+        fused, reference = _attention_pair(dim, heads, dtype, causal=False)
         x = np.random.default_rng(7).standard_normal((batch, length, dim)).astype(dtype)
         x1, x2 = Tensor(x, requires_grad=True), Tensor(x.copy(), requires_grad=True)
-        out1, out2 = fused(x1), unfused(x2)
+        out1, out2 = fused(x1), attention_reference(reference, x2)
         tol = TOL[dtype]
         np.testing.assert_allclose(out1.data, out2.data, atol=tol, rtol=tol)
         out1.sum().backward()
@@ -171,16 +174,11 @@ class TestFusedAttentionEquivalence:
         np.testing.assert_allclose(x1.grad, x2.grad, atol=tol, rtol=tol)
 
     def test_same_dropout_masks_per_seed(self):
-        """Both paths draw the same attention-dropout stream per seed."""
+        """Layer and oracle draw the same attention-dropout stream per seed."""
         batch, length, dim, heads = GEOMETRIES[0]
         x = np.random.default_rng(3).standard_normal((batch, length, dim))
-        outs = []
-        for fused in (True, False):
-            attn = MultiHeadSelfAttention(
-                dim, heads, dropout=0.4, causal=True,
-                rng=np.random.default_rng(0), dtype=np.float64, fused=fused,
-            )
-            outs.append(attn(Tensor(x)).data)
+        fused, reference = _attention_pair(dim, heads, np.float64, dropout=0.4)
+        outs = [fused(Tensor(x)).data, attention_reference(reference, Tensor(x)).data]
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-10)
 
     def test_qkv_cache_rebuilds_after_weight_update(self):
@@ -194,14 +192,14 @@ class TestFusedAttentionEquivalence:
         assert not np.allclose(before, after)
 
     def test_double_backward_over_shared_graph(self):
-        """Two backward passes over one graph accumulate like unfused."""
+        """Two backward passes over one graph accumulate like the oracle."""
         batch, length, dim, heads = GEOMETRIES[0]
-        fused, unfused = _attention_pair(dim, heads, np.float64)
+        fused, reference = _attention_pair(dim, heads, np.float64)
         x = np.random.default_rng(5).standard_normal((batch, length, dim))
         grads = []
-        for attn in (fused, unfused):
+        for forward in (fused, lambda t: attention_reference(reference, t)):
             xt = Tensor(x.copy(), requires_grad=True)
-            out = attn(xt)
+            out = forward(xt)
             out.sum().backward()
             out.sum().backward()
             grads.append(xt.grad.copy())
@@ -234,7 +232,7 @@ class TestSpectralWorkspaceReuse:
         results = []
         for trial in range(2):  # second trial runs entirely on reused buffers
             x, p, dm, sm = _mixed_inputs(np.random.default_rng(3), n, d, dtype)
-            fused = spectral_filter_mixed(x, p[0], p[1], dm, p[2], p[3], sm, 0.3)
+            fused = spectral_filter(x, [(p[0], p[1], dm, 0.7), (p[2], p[3], sm, 0.3)])
             fused.sum().backward()
             results.append(
                 (fused.data.copy(), x.grad.copy(), [q.grad.copy() for q in p])
@@ -248,10 +246,10 @@ class TestSpectralWorkspaceReuse:
         assert ws.hits > 0, "spectral ops did not reuse workspace scratch"
 
         # Cross-check the reused-buffer result against the two-branch
-        # composition of the plain op (the defining identity).
+        # composition of single-branch calls (the defining identity).
         x, p, dm, sm = _mixed_inputs(np.random.default_rng(3), n, d, dtype)
-        a = spectral_filter(x, p[0], p[1], dm)
-        b = spectral_filter(x, p[2], p[3], sm)
+        a = spectral_filter(x, [(p[0], p[1], dm, 1.0)])
+        b = spectral_filter(x, [(p[2], p[3], sm, 1.0)])
         composed = 0.7 * a.data + 0.3 * b.data
         tol = TOL[dtype]
         np.testing.assert_allclose(results[1][0], composed, atol=tol, rtol=tol)
@@ -262,7 +260,7 @@ class TestSpectralWorkspaceReuse:
         for trial in range(2):
             for n, d in [(8, 4), (12, 6)]:
                 x, p, dm, sm = _mixed_inputs(np.random.default_rng(n + d), n, d, np.float64)
-                out = spectral_filter_mixed(x, p[0], p[1], dm, p[2], p[3], sm, 0.5)
+                out = spectral_filter(x, [(p[0], p[1], dm, 0.5), (p[2], p[3], sm, 0.5)])
                 out.sum().backward()
                 key = (n, d, trial)
                 outs[key] = (out.data.copy(), x.grad.copy())
@@ -273,8 +271,6 @@ class TestSpectralWorkspaceReuse:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_plain_spectral_filter_backward_unchanged(self, dtype):
         """The single-branch op still matches its autograd reference."""
-        from repro.autograd.spectral import spectral_filter_reference
-
         rng = np.random.default_rng(1)
         n, d = 8, 3
         m = n // 2 + 1
@@ -284,7 +280,7 @@ class TestSpectralWorkspaceReuse:
         mask = np.ones(m)
         t1 = [Tensor(v.copy(), requires_grad=True) for v in (x, wr, wi)]
         t2 = [Tensor(v.copy(), requires_grad=True) for v in (x, wr, wi)]
-        out1 = spectral_filter(*t1, mask)
+        out1 = spectral_filter(t1[0], [(t1[1], t1[2], mask, 1.0)])
         out2 = spectral_filter_reference(*t2, mask)
         tol = TOL[dtype]
         np.testing.assert_allclose(out1.data, out2.data, atol=tol, rtol=tol)
