@@ -304,10 +304,12 @@ class SequentialEncoderBase(Module):
         """Encode ``(B, N)`` history windows into ``(B, d)`` user vectors.
 
         The serving micro-batch entry point: one stacked
-        :meth:`encode_states` graph walk for the whole batch (the same
+        :meth:`user_representation` pass for the whole batch (the same
         batch-axis stacking :meth:`encode_views` uses for training
         views), run entirely under :func:`no_grad` so no autograd graph
-        is built.  Returns a plain numpy array in the model dtype; a
+        is built.  Returns an owned ``(B, d)`` numpy array in the model
+        dtype — never a view into the ``(B, N, d)`` hidden states, so a
+        cached user vector keeps only its own ``d`` values alive.  A
         single ``(N,)`` window is accepted and returns ``(1, d)``.
 
         Call with the model in eval mode — dropout must be off for the
@@ -323,7 +325,9 @@ class SequentialEncoderBase(Module):
             input_ids = input_ids[None, :]
         with no_grad():
             if batch_size is None or input_ids.shape[0] <= batch_size:
-                return self.user_representation(input_ids).data
+                # Copy even when contiguous: a (1, d) slice of the
+                # (1, N, d) hidden states is a C-contiguous view.
+                return self.user_representation(input_ids).data.copy()
             chunks = [
                 self.user_representation(input_ids[start : start + batch_size]).data
                 for start in range(0, input_ids.shape[0], batch_size)

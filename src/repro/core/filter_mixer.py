@@ -14,15 +14,22 @@ Each block:
    identical,
 4. residual + LayerNorm + dropout (Eq. 28),
 5. pointwise FFN with the densely-residual LayerNorm of Eq. 30.
+
+Only step 3 mixes positions; steps 4-5 act on each position alone.
+Inference needs only the last position of the last block (Eq. 31), so
+:meth:`FilterMixerLayer.forward_last` computes the filter output at
+position ``N-1`` as one dot product with the filter's impulse response
+and runs steps 4-5 on that one row.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from repro.autograd import functional as F
 from repro.autograd.spectral import combined_filter, num_frequency_bins, spectral_filter
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.autograd.workspace import ParamCache
 from repro.core.encoder import PointwiseFeedForward
 from repro.nn import Dropout, LayerNorm, Module, Parameter
@@ -102,9 +109,11 @@ class FilterMixerLayer(Module):
         self.ffn = PointwiseFeedForward(hidden_dim, rng=rng, dtype=dtype)
         self.ffn_norm = LayerNorm(hidden_dim, dtype=dtype)
         self.ffn_dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**32)))
-        # Parameter-version-keyed combined complex filter; see
+        # Parameter-version-keyed combined complex filter and the
+        # reversed impulse response derived from it; see
         # _combined_filter for the invalidation contract.
         self._filt_cache = ParamCache()
+        self._kernel_cache = ParamCache()
 
     @staticmethod
     def _check_mask(mask: np.ndarray, m: int) -> np.ndarray:
@@ -147,6 +156,20 @@ class FilterMixerLayer(Module):
             payloads, lambda: combined_filter(branches), extra=self.gamma
         )
 
+    def _last_kernel(self) -> np.ndarray:
+        """Reversed impulse response ``h[N-1-s]`` of the combined filter.
+
+        The spectral filter is a circular convolution with the real
+        kernel ``h = irfft(filt, n=N)``, so its output at the last
+        position is ``y[N-1] = Σ_s x[s] · h[N-1-s]``.  Keyed on the
+        cached combined filter, so it is rebuilt exactly when that is.
+        """
+        filt = self._combined_filter()
+        return self._kernel_cache.get(
+            (filt,),
+            lambda: np.ascontiguousarray(scipy.fft.irfft(filt, n=self.seq_len, axis=0)[::-1]),
+        )
+
     def invalidate_filter_cache(self) -> None:
         """Drop the cached combined filter (after manual weight edits)."""
         self._filt_cache.invalidate()
@@ -164,11 +187,32 @@ class FilterMixerLayer(Module):
         """
         return spectral_filter(x, self._branches(), filt_provider=self._combined_filter)
 
-    def forward(self, x: Tensor) -> Tensor:
-        filtered = self.mix_spectra(x)
+    def _tail(self, x: Tensor, filtered: Tensor) -> Tensor:
+        """Eqs. 28-30, position-wise: residual, LayerNorm and FFN."""
         # Eq. 28: residual + dropout + LayerNorm.
         hidden = self.filter_norm(F.add(x, self.filter_dropout(filtered)))
         # Eqs. 29-30: FFN with densely-residual LayerNorm.  The triple
         # residual runs as one fused add node (bitwise the chained sum).
         ffn_out = self.ffn(hidden)
         return self.ffn_norm(F.add3(x, hidden, self.ffn_dropout(ffn_out)))
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self._tail(x, self.mix_spectra(x))
+
+    def forward_last(self, x: Tensor) -> Tensor:
+        """The block's output at the last position only: ``(B, N, d) -> (B, 1, d)``.
+
+        Equals ``forward(x)[:, -1:]`` up to rounding: the filter output
+        at position ``N-1`` is one multiply-sum with the reversed
+        impulse response (:meth:`_last_kernel`), with no FFT of the
+        activations, and the position-wise tail runs on one row per
+        sequence.  The rows stay ``(B, 1, d)`` so each FFN GEMM runs per
+        sequence, as on the full path: a row's bits do not depend on
+        ``B``.  Inference only: it builds no graph to the filter
+        parameters and would draw dropout masks of the wrong shape, so
+        it requires eval mode with grad off.
+        """
+        if self.training or is_grad_enabled():
+            raise RuntimeError("forward_last requires eval mode with grad disabled")
+        filtered = np.einsum("bsc,sc->bc", x.data, self._last_kernel())[:, None]
+        return self._tail(F.getitem(x, (slice(None), slice(-1, None))), Tensor(filtered))

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd.spectral import num_frequency_bins
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.core.config import SlimeConfig
 from repro.core.contrastive import info_nce_loss
 from repro.core.encoder import SequentialEncoderBase
@@ -96,6 +96,24 @@ class Slime4Rec(SequentialEncoderBase):
         for layer in self.layers:
             hidden = layer(self.inject_noise(hidden))
         return hidden
+
+    def user_representation(self, input_ids: np.ndarray) -> Tensor:
+        """``h_t^L`` (Eq. 31), the last block run on the last position only.
+
+        In eval mode with grad off the last filter-mixer block computes
+        only the row the user vector needs
+        (:meth:`FilterMixerLayer.forward_last`); its input still gets
+        :meth:`inject_noise` over the full sequence, so the noise stream
+        advances exactly as on the full path.  Training and grad mode
+        run the full :meth:`encode_states` walk.
+        """
+        if self.training or is_grad_enabled():
+            return super().user_representation(input_ids)
+        *head, last = self.layers
+        hidden = self.embed(input_ids)
+        for layer in head:
+            hidden = layer(self.inject_noise(hidden))
+        return F.getitem(last.forward_last(self.inject_noise(hidden)), (slice(None), -1))
 
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:

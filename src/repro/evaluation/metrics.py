@@ -20,11 +20,15 @@ __all__ = ["rank_of_target", "hit_ratio_at_k", "ndcg_at_k", "mrr", "mrr_at_k"]
 
 
 def _rank_rows(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    rows = np.arange(scores.shape[0])
-    target_scores = scores[rows, targets][:, None]
-    higher = (scores > target_scores).sum(axis=1)
-    equal_before = ((scores == target_scores) & (np.arange(scores.shape[1])[None, :] < targets[:, None])).sum(axis=1)
-    return higher + equal_before
+    target_scores = scores[np.arange(scores.shape[0]), targets][:, None]
+    ranks = np.count_nonzero(scores > target_scores, axis=1)
+    # Equal-score items with a smaller id only matter on rows where the
+    # target's score occurs more than once, which is rare for real scores.
+    tied = np.flatnonzero(np.count_nonzero(scores == target_scores, axis=1) > 1)
+    if tied.size:
+        before = np.arange(scores.shape[1])[None, :] < targets[tied, None]
+        ranks[tied] += np.count_nonzero((scores[tied] == target_scores[tied]) & before, axis=1)
+    return ranks
 
 
 def rank_of_target(

@@ -20,6 +20,11 @@ from repro.evaluation.metrics import hit_ratio_at_k, ndcg_at_k
 
 __all__ = ["SampledEvaluator"]
 
+#: Users scored per ``predict_scores`` call, as in the full-ranking
+#: :class:`~repro.evaluation.Evaluator`: bounds the ``(rows, V+1)``
+#: score matrix and the encoder activations of one call.
+_SCORE_BATCH_ROWS = 512
+
 
 class SampledEvaluator:
     """Rank the target against ``num_negatives`` random unseen items.
@@ -62,14 +67,18 @@ class SampledEvaluator:
         inputs, targets = self.dataset.eval_arrays(split)
         model.eval()
         ranks = []
-        with no_grad():
-            scores = np.asarray(model.predict_scores(inputs), dtype=np.float64)
-        for row, target in enumerate(targets):
-            negatives = self._negatives_for(inputs[row], target)
-            candidates = np.concatenate([[target], negatives])
-            candidate_scores = scores[row, candidates]
-            # Rank of the target (index 0) among the candidates.
-            ranks.append(int((candidate_scores > candidate_scores[0]).sum()))
+        for start in range(0, inputs.shape[0], _SCORE_BATCH_ROWS):
+            chunk = inputs[start : start + _SCORE_BATCH_ROWS]
+            with no_grad():
+                scores = np.asarray(model.predict_scores(chunk))
+            for row, target in enumerate(targets[start : start + _SCORE_BATCH_ROWS]):
+                negatives = self._negatives_for(chunk[row], target)
+                candidates = np.concatenate([[target], negatives])
+                # Compared in the model dtype: widening would not change
+                # the order.
+                candidate_scores = scores[row, candidates]
+                # Rank of the target (index 0) among the candidates.
+                ranks.append(int((candidate_scores > candidate_scores[0]).sum()))
         ranks = np.asarray(ranks)
         metrics: Dict[str, float] = {}
         for k in self.ks:

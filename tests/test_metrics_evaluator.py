@@ -41,6 +41,30 @@ class TestRankOfTarget:
         expected = int(np.where(np.argsort(-scores[0]) == target)[0][0])
         assert rank_of_target(scores, np.array([target]))[0] == expected
 
+    @given(
+        rows=st.integers(1, 8),
+        n_items=st.integers(2, 40),
+        seed=st.integers(0, 10_000),
+        exclude_padding=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_heavy_ties_match_definition(self, rows, n_items, seed, exclude_padding):
+        """Scores from 3 values: higher, plus equal with a smaller id."""
+        r = np.random.default_rng(seed)
+        scores = r.choice(np.array([0.25, 0.5, 0.75], dtype=np.float32), size=(rows, n_items))
+        targets = r.integers(1 if exclude_padding else 0, n_items, size=rows)
+        lo = 1 if exclude_padding else 0
+        expected = [
+            sum(
+                1
+                for j in range(lo, n_items)
+                if row[j] > row[t] or (row[j] == row[t] and j < t)
+            )
+            for row, t in zip(scores, targets)
+        ]
+        got = rank_of_target(scores, targets, exclude_padding=exclude_padding, chunk_size=3)
+        assert got.tolist() == expected
+
 
 class TestMetrics:
     def test_hr_simple(self):

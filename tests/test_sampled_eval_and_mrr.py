@@ -130,3 +130,25 @@ class TestSampledEvaluator:
         assert ev.sampler is sampler
         out = ev.evaluate(_OracleModel(dataset))
         assert out["HR@5"] == 1.0
+
+    def test_scores_in_row_chunks(self, dataset, monkeypatch):
+        """Chunked scoring gives the unchunked metrics, one chunk per call."""
+        from repro.baselines import build_baseline
+        from repro.evaluation import sampled
+
+        model = build_baseline("SLIME4Rec", dataset, hidden_dim=8, seed=0, dtype="float64")
+        want = SampledEvaluator(dataset, ks=(5, 10), num_negatives=20, seed=1).evaluate(model)
+
+        rows_seen = []
+        original = model.predict_scores
+
+        def spy(input_ids, *args, **kwargs):
+            rows_seen.append(len(input_ids))
+            return original(input_ids, *args, **kwargs)
+
+        monkeypatch.setattr(model, "predict_scores", spy)
+        monkeypatch.setattr(sampled, "_SCORE_BATCH_ROWS", 16)
+        got = SampledEvaluator(dataset, ks=(5, 10), num_negatives=20, seed=1).evaluate(model)
+        assert got == want
+        assert len(rows_seen) > 1 and max(rows_seen) <= 16
+        assert sum(rows_seen) == len(dataset.eval_arrays("test")[1])

@@ -139,13 +139,13 @@ class TestEncoderInferenceHooks:
         """The eval scoring path must not build a throwaway graph."""
         model = make_model(dataset)
         observed = []
-        original = model.encode_states
+        original = model.embed
 
         def spy(input_ids):
             observed.append(is_grad_enabled())
             return original(input_ids)
 
-        model.encode_states = spy
+        model.embed = spy
         model.eval()
         inputs = dataset.eval_arrays("valid")[0][:4]
         assert is_grad_enabled()  # caller is in grad mode...
@@ -175,6 +175,17 @@ class TestEncoderInferenceHooks:
         np.testing.assert_allclose(
             model.encode_users(inputs, batch_size=4), want, rtol=1e-5, atol=1e-6
         )
+
+    @pytest.mark.parametrize("name", ["SLIME4Rec", "SASRec"])
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_encode_users_returns_owned_vectors(self, dataset, name, rows):
+        """A cached user vector must not pin the (B, N, d) hidden states."""
+        model = make_model(dataset, name=name)
+        model.eval()
+        inputs = dataset.eval_arrays("valid")[0][:rows]
+        for vecs in (model.encode_users(inputs), model.encode_users(inputs, batch_size=16)):
+            assert vecs.shape == (rows, model.hidden_dim)
+            assert vecs.base is None or vecs.base.nbytes <= vecs.nbytes
 
     def test_inference_version_ticks_on_optimizer_step(self, dataset):
         model = make_model(dataset)

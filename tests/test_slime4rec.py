@@ -242,3 +242,131 @@ class TestSlime4Rec:
         model = Slime4Rec(cfg)
         with pytest.raises(ValueError):
             model.predict_scores(np.zeros((2, cfg.max_len + 1), dtype=np.int64))
+
+
+class TestLastPositionInference:
+    """Eval-mode, grad-off encodes run the last block on the last position.
+
+    Only the spectral filter mixes positions, so the fast path must
+    equal the full ``encode_states(ids)[:, -1]`` up to rounding, and
+    training or grad mode must never take it.
+    """
+
+    @staticmethod
+    def _pair(model, inputs):
+        from repro.autograd.tensor import no_grad
+
+        with no_grad():
+            ref = model.encode_states(inputs).data[:, -1]
+            got = model.user_representation(inputs).data
+        return got, ref
+
+    @staticmethod
+    def _assert_close(got, ref):
+        if got.dtype == np.float64:
+            np.testing.assert_allclose(got, ref, rtol=1e-12)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(use_dfs=False),
+            dict(use_sfs=False),
+            dict(num_layers=1),
+            dict(num_layers=3),
+            dict(max_len=13),
+        ],
+        ids=["both", "w/oD", "w/oS", "L1", "L3", "odd_len"],
+    )
+    def test_matches_full_encode(self, dtype, overrides):
+        cfg = small_config(dtype=dtype, **overrides)
+        model = Slime4Rec(cfg)
+        model.eval()
+        got, ref = self._pair(model, random_batch(cfg, batch=9).input_ids)
+        assert got.shape == (9, cfg.hidden_dim) and got.dtype == ref.dtype
+        self._assert_close(got, ref)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_noise_stream_consumed_as_on_full_path(self, dtype):
+        from repro.autograd.tensor import no_grad
+
+        cfg = small_config(dtype=dtype, noise_eps=0.3)
+        model = Slime4Rec(cfg)
+        model.eval()
+        inputs = random_batch(cfg).input_ids
+        start = model._noise_rng.bit_generator.state
+        with no_grad():
+            ref = model.encode_states(inputs).data[:, -1]
+        end = model._noise_rng.bit_generator.state
+        model._noise_rng.bit_generator.state = start
+        with no_grad():
+            got = model.user_representation(inputs).data
+        assert model._noise_rng.bit_generator.state == end
+        self._assert_close(got, ref)
+
+    def test_kernel_cache_refreshes_after_optimizer_step(self):
+        from repro.optim import Adam
+
+        cfg = small_config(cl_weight=0.0)
+        model = Slime4Rec(cfg)
+        batch = random_batch(cfg)
+        model.eval()
+        before = model.layers[-1]._last_kernel().copy()
+        self._pair(model, batch.input_ids)  # warms every cache
+        opt = Adam(model.parameters(), lr=1e-2)
+        model.train()
+        opt.zero_grad()
+        model.loss(batch).backward()
+        opt.step()
+        model.eval()
+        assert not np.allclose(model.layers[-1]._last_kernel(), before)
+        self._assert_close(*self._pair(model, batch.input_ids))
+
+    def test_training_and_grad_mode_run_the_full_path(self, monkeypatch):
+        """The fast path is never taken when a graph or dropout is live."""
+
+        def forbidden(self, x):
+            raise AssertionError("forward_last taken outside eval/no-grad")
+
+        cfg = small_config(cl_weight=0.0)
+        batch = random_batch(cfg)
+
+        def losses(model):
+            out = []
+            for train in (True, False):  # training mode; eval mode with grad on
+                model.train(train)
+                model.embed_dropout.rng = np.random.default_rng(7)
+                for layer in model.layers:
+                    layer.filter_dropout.rng = np.random.default_rng(8)
+                    layer.ffn_dropout.rng = np.random.default_rng(9)
+                out.append(model.recommendation_loss(batch.input_ids, batch.targets).data)
+                model.embed_dropout.rng = np.random.default_rng(7)
+                for layer in model.layers:
+                    layer.filter_dropout.rng = np.random.default_rng(8)
+                    layer.ffn_dropout.rng = np.random.default_rng(9)
+                states = model.encode_states(batch.input_ids)
+                out.append(model.prediction_loss(states[:, -1], batch.targets).data)
+            return out
+
+        model = Slime4Rec(cfg)
+        monkeypatch.setattr(FilterMixerLayer, "forward_last", forbidden)
+        train_loss, train_ref, eval_loss, eval_ref = losses(model)
+        assert train_loss.tobytes() == train_ref.tobytes()
+        assert eval_loss.tobytes() == eval_ref.tobytes()
+
+    def test_forward_last_rejects_training_and_grad_mode(self, rng):
+        from repro.autograd.tensor import no_grad
+
+        m = num_frequency_bins(12)
+        layer = FilterMixerLayer(12, 8, np.ones(m), np.ones(m), rng=rng)
+        x = Tensor(rng.normal(size=(2, 12, 8)))
+        with pytest.raises(RuntimeError):
+            layer.forward_last(x)  # training mode
+        layer.eval()
+        with pytest.raises(RuntimeError):
+            layer.forward_last(x)  # grad enabled
+        with no_grad():
+            assert layer.forward_last(x).shape == (2, 1, 8)
