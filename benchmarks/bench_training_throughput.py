@@ -6,24 +6,19 @@ identical data — and how much the float32 compute core saves over the
 float64 default (the measured comparison is committed under
 ``benchmarks/results/dtype_step_time.json``).
 
-The models run on the shared per-step workspace fast paths by default
-(fused Q/K/V attention, scipy-backed spectral FFTs with workspace
-scratch reuse, seed-compatible dropout, and the stacked ``(3B, N, d)``
-multi-view contrastive encode).  Extra variants measure the opt-in
-non-seed-compatible dropout-mask path
-(``test_train_step_throughput_fast_masks``), the batched-vs-unbatched
-contrastive A/B on the two contrastive headliners
-(``test_train_step_batched_views_ab`` — pytest-benchmark interleaves
-its own rounds, and ``benchmarks/results/batched_views_step_time.json``
-records a committed interleaved comparison), and the chunked
-full-catalog cross-entropy (``test_train_step_chunked_ce``).
-``docs/PERFORMANCE.md`` documents how to read and record the results.
+The models run on the shared per-step workspace paths (fused Q/K/V
+attention, scipy-backed spectral FFTs with workspace scratch reuse,
+seed-compatible dropout, and the stacked ``(3B, N, d)`` multi-view
+contrastive encode).  Extra variants measure the static-graph tape
+executor (``test_train_step_static_graph_ab``), the chunked
+full-catalog cross-entropy (``test_train_step_chunked_ce``), sampled
+softmax and checkpoint overhead.  ``docs/PERFORMANCE.md`` documents
+how to read and record the results.
 """
 
 import numpy as np
 import pytest
 
-from repro.autograd.workspace import fast_dropout_masks
 from repro.baselines import build_baseline
 from repro.data.batching import BatchIterator
 from repro.optim import Adam
@@ -46,36 +41,6 @@ def setup(request):
 def test_train_step_throughput(benchmark, setup, name, dtype):
     dataset = setup
     model = build_baseline(name, dataset, hidden_dim=64, seed=0, dtype=dtype)
-    iterator = BatchIterator(dataset, batch_size=128, with_same_target=True, seed=0)
-    batch = next(iter(iterator.epoch()))
-    optimizer = Adam(model.parameters())
-
-    def step():
-        optimizer.zero_grad()
-        loss = model.loss(batch)
-        loss.backward()
-        optimizer.step()
-        return float(loss.data)
-
-    result = benchmark(step)
-    assert np.isfinite(result)
-
-
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "unbatched"])
-@pytest.mark.parametrize("name", ["SLIME4Rec", "DuoRec"])
-def test_train_step_batched_views_ab(benchmark, setup, name, batched):
-    """Stacked (3B, N, d) multi-view encode vs the three-pass reference.
-
-    Float32 with contrastive loss enabled — the A/B behind the
-    ``batched_views`` flag.  Both variants share every other fast path,
-    so the pair isolates the stacking itself; the committed interleaved
-    comparison lives in
-    ``benchmarks/results/batched_views_step_time.json``.
-    """
-    dataset = setup
-    model = build_baseline(
-        name, dataset, hidden_dim=64, seed=0, dtype="float32", batched_views=batched
-    )
     iterator = BatchIterator(dataset, batch_size=128, with_same_target=True, seed=0)
     batch = next(iter(iterator.epoch()))
     optimizer = Adam(model.parameters())
@@ -211,25 +176,4 @@ def test_train_step_checkpoint_overhead(benchmark, setup, tmp_path, every):
         return trainer._epoch_losses[-1]
 
     result = benchmark(step)
-    assert np.isfinite(result)
-
-
-@pytest.mark.parametrize("name", ["SLIME4Rec", "SASRec"])
-def test_train_step_throughput_fast_masks(benchmark, setup, name):
-    """Float32 step time with the fast (non-seed-compatible) dropout masks."""
-    dataset = setup
-    model = build_baseline(name, dataset, hidden_dim=64, seed=0, dtype="float32")
-    iterator = BatchIterator(dataset, batch_size=128, with_same_target=True, seed=0)
-    batch = next(iter(iterator.epoch()))
-    optimizer = Adam(model.parameters())
-
-    def step():
-        optimizer.zero_grad()
-        loss = model.loss(batch)
-        loss.backward()
-        optimizer.step()
-        return float(loss.data)
-
-    with fast_dropout_masks():
-        result = benchmark(step)
     assert np.isfinite(result)

@@ -15,8 +15,9 @@ full numpy broadcasting.
 Hot-path ops (``dropout``, ``embedding``'s backward) route their
 transient working memory through the shared per-step workspace
 (:mod:`repro.autograd.workspace`) so repeated calls at one ``(B, N, d)``
-geometry reuse buffers instead of allocating; the workspace also owns
-the dropout seed-compatibility flag (see :func:`dropout`).
+geometry reuse buffers instead of allocating; the workspace also holds
+the dropout view count of stacked multi-view passes (see
+:func:`dropout`).
 """
 
 from __future__ import annotations
@@ -28,11 +29,7 @@ import numpy as np
 from repro.autograd.graph import GraphCaptureError, record_node
 from repro.autograd.graph import _active as _graph_active
 from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled, unbroadcast
-from repro.autograd.workspace import (
-    dropout_view_count,
-    fast_dropout_masks_enabled,
-    get_workspace,
-)
+from repro.autograd.workspace import dropout_view_count, get_workspace
 
 __all__ = [
     "add", "add3", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt",
@@ -1145,29 +1142,19 @@ def dropout(
     p: float,
     training: bool,
     rng: np.random.Generator,
-    fast: Optional[bool] = None,
     views: Optional[int] = None,
 ) -> Tensor:
     """Inverted dropout; identity when not training or ``p == 0``.
 
     ``a`` must be a floating tensor; the output and gradient keep its
-    dtype.  The kept/dropped decisions come from one of two paths:
-
-    - **Seed-compatible** (``fast=False``, the default): one float64
-      uniform per element from ``rng``, drawn into a shared workspace
-      buffer.  The draw consumes the generator stream exactly like the
-      seed implementation (``rng.random(a.shape)``), and the output is
-      bitwise-identical to the historical
-      ``a * ((draw < keep).astype(a.dtype) / keep)`` formulation — the
-      mask is just kept as booleans and the ``1/keep`` rescale applied
-      in place, which skips two full-array temporaries.
-    - **Fast** (``fast=True``): one uint16 per element thresholded at
-      ``round(keep * 65536)``.  ~2.5x cheaper mask generation, same
-      distribution up to a 1/65536 quantization of ``keep``, but a
-      different stochastic realization per seed.
-
-    ``fast=None`` defers to the process-wide seed-compatibility flag
-    (:func:`repro.autograd.workspace.set_fast_dropout_masks`).
+    dtype.  The kept/dropped decisions come from one float64 uniform
+    per element from ``rng``, drawn into a shared workspace buffer.
+    The draw consumes the generator stream exactly like the seed
+    implementation (``rng.random(a.shape)``), and the output is
+    bitwise-identical to the historical
+    ``a * ((draw < keep).astype(a.dtype) / keep)`` formulation — the
+    mask is just kept as booleans and the ``1/keep`` rescale applied in
+    place, which skips two full-array temporaries.
 
     ``views=V > 1`` (or an enclosing
     :func:`repro.autograd.workspace.dropout_views` context, which
@@ -1175,12 +1162,10 @@ def dropout(
     equal view blocks along the leading axis: the mask is drawn as
     ``V`` consecutive per-block draws, so a stacked ``(V*B, ...)`` call
     consumes ``rng`` exactly like ``V`` separate ``(B, ...)`` calls —
-    same per-view masks, in both mask modes.  (For the seed-compatible
-    path a contiguous ``(V*B, ...)`` draw already equals ``V``
-    consecutive block draws element-for-element; the explicit split
-    makes the contract independent of generator buffering and extends
-    it to the fast uint16 path, whose bit consumption is call-shaped.)
-    The leading axis must divide evenly by ``V``.
+    same per-view masks.  (A contiguous ``(V*B, ...)`` draw already
+    equals ``V`` consecutive block draws element-for-element; the
+    explicit split makes the contract independent of generator
+    buffering.)  The leading axis must divide evenly by ``V``.
     """
     a = as_tensor(a)
     if not training or p <= 0.0:
@@ -1188,8 +1173,6 @@ def dropout(
     if p >= 1.0:
         raise ValueError("dropout probability must be < 1")
     keep = 1.0 - p
-    if fast is None:
-        fast = fast_dropout_masks_enabled()
     if views is None:
         views = dropout_view_count()
     if views > 1:
@@ -1206,39 +1189,25 @@ def dropout(
     # draw array per geometry.  The mask draw lives inside ``forward``:
     # a static-graph replay re-draws a fresh mask from the same
     # generator object, consuming its stream exactly like the dynamic
-    # step (``fast``/``views`` are resolved above, at build time — the
-    # executor invalidates the tape when the ambient flags change).
+    # step (``views`` is resolved above, at build time — the executor
+    # invalidates the tape when the ambient view count changes).
     scale = a.dtype.type(1.0) / a.dtype.type(keep)
-    threshold = np.uint16(min(65535, int(round(keep * 65536.0)))) if fast else None
     mask = None
 
     def forward():
         nonlocal mask
-        if fast:
-            if views > 1:
-                mask = np.empty(a.shape, dtype=bool)
-                view_shape = (block,) + a.shape[1:]
-                for v in range(views):
-                    np.less(
-                        rng.integers(0, 65536, size=view_shape, dtype=np.uint16),
-                        threshold,
-                        out=mask[v * block : (v + 1) * block],
-                    )
-            else:
-                mask = rng.integers(0, 65536, size=a.shape, dtype=np.uint16) < threshold
-        else:
-            if views > 1:
-                mask = np.empty(a.shape, dtype=bool)
-                draw = get_workspace().scratch(
-                    "dropout.draw", (block,) + a.shape[1:], np.float64
-                )
-                for v in range(views):
-                    rng.random(out=draw)
-                    np.less(draw, keep, out=mask[v * block : (v + 1) * block])
-            else:
-                draw = get_workspace().scratch("dropout.draw", a.shape, np.float64)
+        if views > 1:
+            mask = np.empty(a.shape, dtype=bool)
+            draw = get_workspace().scratch(
+                "dropout.draw", (block,) + a.shape[1:], np.float64
+            )
+            for v in range(views):
                 rng.random(out=draw)
-                mask = draw < keep
+                np.less(draw, keep, out=mask[v * block : (v + 1) * block])
+        else:
+            draw = get_workspace().scratch("dropout.draw", a.shape, np.float64)
+            rng.random(out=draw)
+            mask = draw < keep
         out = a.data * mask
         out *= scale
         return out

@@ -53,8 +53,7 @@ input shape/dtype/None-ness mismatch  dynamic fallback for that step
 parameter payload rebound             tape invalidated, re-captured
 (``load_state_dict``, ``Module.to``)
 ambient dropout config changed        tape invalidated, re-captured
-(view count, fast-mask flag,
-``model.training``)
+(view count, ``model.training``)
 ``GraphCaptureError`` during capture  permanent dynamic fallback,
 (e.g. ``noise_eps > 0`` paths)        reason logged once
 ====================================  =================================
@@ -75,10 +74,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor, _backward_over, _topo_sort
-from repro.autograd.workspace import (
-    dropout_view_count,
-    fast_dropout_masks_enabled,
-)
+from repro.autograd.workspace import dropout_view_count
 
 __all__ = [
     "GraphCaptureError",
@@ -237,7 +233,7 @@ def capture():
 
 def _ambient_state() -> Tuple:
     """The thread/process config a tape's RNG + mask closures baked in."""
-    return (dropout_view_count(), fast_dropout_masks_enabled())
+    return (dropout_view_count(),)
 
 
 def _batch_signature(batch) -> Tuple:

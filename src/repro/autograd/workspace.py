@@ -39,15 +39,12 @@ is mid-flight per buffer, which a per-thread instance guarantees for
 the single-threaded training loop without making concurrent evaluation
 threads unsafe.
 
-This module also owns the **seed-compatibility flag** for dropout mask
-generation (:func:`set_fast_dropout_masks`).  The default (``False``)
-keeps mask draws bitwise-faithful to the seed implementation — same
-PCG64 stream, same float64 draws, same kept positions for a given seed.
-Enabling the fast path switches to 16-bit threshold masks (one uint16
-draw per element instead of one float64), which is ~2.5x cheaper but
-consumes the generator stream differently, so per-seed masks change
-(the marginal keep probability is quantized to 1/65536, an expectation
-error below 8e-6).  See ``docs/PERFORMANCE.md``.
+The module also holds the thread's dropout **view count**
+(:func:`dropout_views`), which makes a stacked multi-view pass draw
+its masks exactly like separate per-view passes, and the generator
+bit-state capture used by checkpoints.  Dropout masks have one path:
+one float64 PCG64 uniform per element, the seed implementation's draw
+(see :func:`repro.autograd.functional.dropout`).
 
 Layering: this module imports only :mod:`repro.autograd.tensor`; both
 the autograd op library and the ``repro.nn`` stack build on it, and
@@ -58,9 +55,6 @@ user code imports it directly::
     ws = workspace.get_workspace()
     print(ws)             # scratch/cached entry counts, hit rate, bytes
     ws.clear()            # free the hot-path buffers between experiments
-
-    with workspace.fast_dropout_masks():  # cheap, non-seed-compatible masks
-        train_one_epoch(model)
 """
 
 from __future__ import annotations
@@ -79,9 +73,6 @@ __all__ = [
     "ParamCache",
     "get_workspace",
     "reset_workspace",
-    "set_fast_dropout_masks",
-    "fast_dropout_masks_enabled",
-    "fast_dropout_masks",
     "set_dropout_view_count",
     "dropout_view_count",
     "dropout_views",
@@ -269,50 +260,6 @@ def set_generator_state(gen: np.random.Generator, state: Dict[str, Any]) -> None
 
 
 # ----------------------------------------------------------------------
-# Dropout mask generation: the seed-compatibility flag
-# ----------------------------------------------------------------------
-
-#: Process-wide (unlike the workspace itself, deliberately NOT
-#: thread-local: the flag is a run-level configuration choice, and a
-#: worker thread silently falling back to the default would make a
-#: benchmark measure nothing).  Reads are lock-free; flip it only from
-#: one thread.
-_FAST_MASKS_ENABLED = False
-
-
-def set_fast_dropout_masks(enabled: bool) -> bool:
-    """Toggle the fast dropout-mask path; returns the previous setting.
-
-    ``False`` (the default) is the *seed-compatible* mode: masks are
-    drawn exactly as the seed implementation drew them (float64 PCG64
-    uniforms), so training runs are bitwise-reproducible against
-    recorded results.  ``True`` switches to uint16 threshold masks —
-    measurably cheaper, same distribution up to a 1/65536 quantization
-    of the keep probability, but a *different* stochastic realization
-    per seed.
-    """
-    global _FAST_MASKS_ENABLED
-    previous = _FAST_MASKS_ENABLED
-    _FAST_MASKS_ENABLED = bool(enabled)
-    return previous
-
-
-def fast_dropout_masks_enabled() -> bool:
-    """Whether dropout currently uses the fast (non-seed-compatible) path."""
-    return _FAST_MASKS_ENABLED
-
-
-@contextlib.contextmanager
-def fast_dropout_masks(enabled: bool = True):
-    """Scope the fast dropout-mask path, e.g. for one benchmark run."""
-    previous = set_fast_dropout_masks(enabled)
-    try:
-        yield
-    finally:
-        set_fast_dropout_masks(previous)
-
-
-# ----------------------------------------------------------------------
 # Dropout view streams: per-view mask draws for stacked multi-view passes
 # ----------------------------------------------------------------------
 #
@@ -324,8 +271,8 @@ def fast_dropout_masks(enabled: bool = True):
 # model, not an optimization.  The view count below tells
 # :func:`repro.autograd.functional.dropout` to split its mask draw into
 # V consecutive per-view draws along the leading axis, exactly matching
-# the V-pass stream consumption in both the seed-compatible and the
-# fast mask modes.  Thread-local like the workspace itself: the count
+# the V-pass stream consumption.  Thread-local like the workspace
+# itself: the count
 # is per-forward-call state scoped by the ``dropout_views`` context.
 
 

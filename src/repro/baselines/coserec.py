@@ -5,10 +5,9 @@ crop/mask/reorder, items are substituted by or have inserted next to
 them their most co-occurrence-correlated neighbours, producing harder
 but semantically consistent positive views.
 
-Like CL4SRec, every encode runs on the fused attention fast path
-(:mod:`repro.nn.attention`), and with ``batched_views`` (the default)
-the step's three encodes stack into one ``(3B, N, d)`` forward with
-per-view dropout streams
+Like CL4SRec, the step's three encodes stack into one ``(3B, N, d)``
+forward on the fused attention fast path (:mod:`repro.nn.attention`)
+with per-view dropout streams
 (:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`); the
 augmentation itself is index-level work outside the autograd graph.
 """
@@ -19,7 +18,6 @@ from typing import List
 
 import numpy as np
 
-from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.baselines.cl4srec import augmented_contrastive_loss
 from repro.baselines.sasrec import SASRec
@@ -45,7 +43,6 @@ class CoSeRec(SASRec):
         aug_ratio: float = 0.3,
         embed_dropout: float = 0.3,
         hidden_dropout: float = 0.3,
-        batched_views: bool = True,
         seed: int = 0,
         dtype=None,
     ) -> None:
@@ -63,7 +60,6 @@ class CoSeRec(SASRec):
         self.cl_weight = cl_weight
         self.cl_temperature = cl_temperature
         self.aug_ratio = aug_ratio
-        self.batched_views = batched_views
         self._aug_rng = np.random.default_rng(seed + 13)
         self._correlation: ItemCorrelation | None = None
 
@@ -95,9 +91,6 @@ class CoSeRec(SASRec):
 
         record_host(refresh, "coserec.augment")
         return out
-
-    def _user(self, input_ids: np.ndarray) -> Tensor:
-        return F.getitem(self.encode_states(input_ids), (slice(None), -1))
 
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:

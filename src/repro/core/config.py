@@ -60,16 +60,6 @@ class SlimeConfig:
         0 disables contrastive learning (the w/oC variant).
     cl_temperature:
         Softmax temperature of the InfoNCE objective.
-    batched_views:
-        When True (the default) the three contrastive encodes of each
-        training step (main pass, dropout view, same-target view) run
-        as **one** stacked ``(3B, N, d)`` forward with per-view dropout
-        streams — the same stochastic model as three separate passes
-        (identical masks per seed, float64 losses equal to
-        reassociation tolerance) at ~1/3 the python/op count.
-        ``False`` keeps the reference three-pass path for equivalence
-        testing; runs with ``noise_eps > 0`` fall back to it
-        automatically (the noise scale couples the views).
     ce_chunk_size:
         Class-chunk width for the prediction cross-entropy.  ``None``
         keeps the dense ``(B, V+1)`` logits GEMM+softmax; a positive
@@ -100,6 +90,9 @@ class SlimeConfig:
     noise_eps:
         When positive, uniform noise of this relative magnitude is
         injected into every layer input (the Figure 6 robustness knob).
+        The noise scale is the whole-batch std, so the contrastive loss
+        then encodes its three views in separate passes instead of the
+        one stacked ``(3B, N, d)`` pass (see ``encode_views``).
     seed:
         Parameter-init and dropout seed.
     dtype:
@@ -128,7 +121,6 @@ class SlimeConfig:
     hidden_dropout: float = 0.3
     cl_weight: float = 0.1
     cl_temperature: float = 1.0
-    batched_views: bool = True
     ce_chunk_size: int | None = None
     train_num_negatives: int | None = None
     negative_sampling: str = "uniform"

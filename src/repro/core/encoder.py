@@ -202,12 +202,14 @@ class SequentialEncoderBase(Module):
         each generator exactly like ``V`` separate passes would, so
         the stacked encode is the same stochastic model as the
         sequential one: per-view masks identical, float64 losses equal
-        to the unbatched path to reassociation tolerance.
+        to the three-pass encode (the test oracle
+        ``sequential_views_loss`` in ``tests/oracles.py``) to
+        reassociation tolerance.
 
-        Not valid under the Figure-6 noise protocol: ``inject_noise``
-        scales by the *whole-batch* std, which would couple the views;
-        callers gate on ``noise_eps <= 0`` and fall back to separate
-        passes (see ``Slime4Rec.loss``).
+        Under the Figure-6 noise protocol (``noise_eps > 0``)
+        ``inject_noise`` scales by the *whole-batch* std, which would
+        couple stacked views, so the views are encoded one pass at a
+        time, in order.
         """
         arrays = [np.asarray(v) for v in view_inputs]
         if len(arrays) < 2:
@@ -215,6 +217,11 @@ class SequentialEncoderBase(Module):
         if any(arr.shape != arrays[0].shape for arr in arrays[1:]):
             raise ValueError(
                 f"all views must share one shape, got {[a.shape for a in arrays]}"
+            )
+        if self.noise_eps > 0.0:
+            return tuple(
+                F.getitem(self.encode_states(arr), (slice(None), -1))
+                for arr in arrays
             )
         batch = arrays[0].shape[0]
         stacked = np.concatenate(arrays, axis=0)
@@ -298,9 +305,7 @@ class SequentialEncoderBase(Module):
 
         return parameter_version()
 
-    def encode_users(
-        self, input_ids: np.ndarray, batch_size: int | None = None
-    ) -> np.ndarray:
+    def encode_users(self, input_ids: np.ndarray) -> np.ndarray:
         """Encode ``(B, N)`` history windows into ``(B, d)`` user vectors.
 
         The serving micro-batch entry point: one stacked
@@ -314,25 +319,15 @@ class SequentialEncoderBase(Module):
 
         Call with the model in eval mode — dropout must be off for the
         encoding to be a deterministic function of the window, which is
-        what makes per-user caching of the result sound.  ``batch_size``
-        optionally chunks very large batches to bound peak activation
-        memory; results are row-identical to the unchunked call only up
-        to BLAS/FFT batch-shape reassociation (bitwise in practice for
-        float64, ~1e-6 relative for float32).
+        what makes per-user caching of the result sound.
         """
         input_ids = np.asarray(input_ids, dtype=np.int64)
         if input_ids.ndim == 1:
             input_ids = input_ids[None, :]
         with no_grad():
-            if batch_size is None or input_ids.shape[0] <= batch_size:
-                # Copy even when contiguous: a (1, d) slice of the
-                # (1, N, d) hidden states is a C-contiguous view.
-                return self.user_representation(input_ids).data.copy()
-            chunks = [
-                self.user_representation(input_ids[start : start + batch_size]).data
-                for start in range(0, input_ids.shape[0], batch_size)
-            ]
-            return np.concatenate(chunks, axis=0)
+            # Copy even when contiguous: a (1, d) slice of the
+            # (1, N, d) hidden states is a C-contiguous view.
+            return self.user_representation(input_ids).data.copy()
 
     def negative_sampler(self) -> NegativeSampler:
         """The model's shared training :class:`NegativeSampler` (lazy).

@@ -123,24 +123,18 @@ class Slime4Rec(SequentialEncoderBase):
         encodes of the batch: the main pass (recommendation term), the
         same inputs under fresh dropout masks (the unsupervised view
         ``h'``), and the same-target positives (the supervised view
-        ``h'_s``).  With ``config.batched_views`` (the default) all
-        three run as **one** stacked ``(3B, N, d)`` graph walk with
-        per-view dropout streams (:meth:`encode_views`); the reference
-        path encodes them sequentially — same masks per seed, same
+        ``h'_s``).  All three run as **one** stacked ``(3B, N, d)``
+        graph walk with per-view dropout streams (:meth:`encode_views`):
+        the same masks per seed as three separate passes, and the same
         losses to float64 reassociation tolerance.
         """
         if self.config.cl_weight <= 0.0 or batch.positive_ids is None:
             states = self.encode_states(batch.input_ids)
             return self.prediction_loss(_last_state(states), batch.targets)
 
-        if self.config.batched_views and self.noise_eps <= 0.0:
-            user, unsup_view, sup_view = self.encode_views(
-                (batch.input_ids, batch.input_ids, batch.positive_ids)
-            )
-        else:
-            user = _last_state(self.encode_states(batch.input_ids))
-            unsup_view = _last_state(self.encode_states(batch.input_ids))
-            sup_view = _last_state(self.encode_states(batch.positive_ids))
+        user, unsup_view, sup_view = self.encode_views(
+            (batch.input_ids, batch.input_ids, batch.positive_ids)
+        )
         rec_loss = self.prediction_loss(user, batch.targets)
         cl = info_nce_loss(unsup_view, sup_view, temperature=self.config.cl_temperature)
         return F.add(rec_loss, F.mul(cl, self.config.cl_weight))

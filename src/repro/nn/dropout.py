@@ -5,14 +5,9 @@ shape and dtype; the eval-mode forward returns the input tensor itself
 (no copy, no graph node).
 
 Mask generation runs through the shared per-step workspace
-(:mod:`repro.autograd.workspace`).  The default path is **seed-compatible**:
-one float64 uniform per element from this layer's own generator, drawn
-into a reusable buffer, bitwise-faithful to the seed implementation.
-:func:`repro.autograd.workspace.set_fast_dropout_masks` (or the
-``fast_dropout_masks()`` context manager) switches every dropout site
-in the process to cheap uint16 threshold masks — same distribution up
-to a 1/65536 quantization of the keep probability, different stochastic
-realization per seed.  Inside a
+(:mod:`repro.autograd.workspace`) on one path, bitwise-faithful to the
+seed implementation: one float64 uniform per element from this layer's
+own generator, drawn into a reusable buffer.  Inside a
 :func:`repro.autograd.workspace.dropout_views` context (the stacked
 multi-view contrastive encode) the mask is drawn as one per-view block
 draw per view, so a ``(V*B, N, d)`` call consumes this layer's

@@ -152,10 +152,6 @@ class ServingConfig:
     reuse_user_state: bool = True
     #: mask items present in the user's window out of the results
     exclude_seen: bool = True
-    #: rebuild the item table when model parameters changed
-    auto_refresh: bool = True
-    #: chunk very large encode batches (None = single stacked walk)
-    encode_batch_size: Optional[int] = None
     # --- resilience knobs (all off by default) ------------------------
     #: end-to-end per-request deadline in ms (None = no deadline)
     request_timeout_ms: Optional[float] = None
@@ -382,7 +378,8 @@ class RecommenderService:
         raised when ``on_error="raise"``.
         """
         request = self._new_request(user_id, k)
-        self._requests += 1
+        with self._cond:
+            self._requests += 1
         if not self.config.batching:
             self._serve_batch([request])
         else:
@@ -408,7 +405,8 @@ class RecommenderService:
         results instead of raising.
         """
         requests = [self._new_request(user_id, k) for user_id in user_ids]
-        self._requests += len(requests)
+        with self._cond:
+            self._requests += len(requests)
         self._serve_batch(requests)
         for request in requests:
             if request.error is not None:
@@ -602,7 +600,7 @@ class RecommenderService:
             table: Optional[ItemTable] = None
             with self._lock:
                 table = self._table
-                if self.config.auto_refresh and table.is_stale(self.model):
+                if table.is_stale(self.model):
                     if self.config.degrade_on_stale:
                         # never rebuild on the request path: answer this
                         # batch degraded, refresh in the background
@@ -626,9 +624,7 @@ class RecommenderService:
                     if dirty:
                         windows = np.stack([sessions[i].window() for i in dirty])
                         faults.trip("serve.encode")
-                        vecs = self.model.encode_users(
-                            windows, batch_size=self.config.encode_batch_size
-                        )
+                        vecs = self.model.encode_users(windows)
                         self._encoded += len(dirty)
                         for row, i in enumerate(dirty):
                             sessions[i].store_vec(vecs[row], version)
@@ -801,10 +797,13 @@ class RecommenderService:
 
     def stats(self) -> dict:
         """Serving counters: request/batch/cache plus failure accounting."""
+        # _requests is counted under _cond, never held across a batch
+        with self._cond:
+            requests = self._requests
         with self._lock:
             batches = max(self._batches, 1)
             return {
-                "requests": self._requests,
+                "requests": requests,
                 "batches": self._batches,
                 "batched_requests": self._batched_requests,
                 "mean_batch_size": self._batched_requests / batches,

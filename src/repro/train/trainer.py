@@ -20,8 +20,7 @@ format"):
   of the above and continues mid-epoch from the exact batch after the
   checkpoint; the resumed trajectory (losses, parameters, metrics) is
   bitwise-equal to the uninterrupted run in both dtypes
-  (``tests/test_fault_tolerance.py`` pins this the same way
-  ``batched_views`` equality was pinned).
+  (``tests/test_fault_tolerance.py`` pins this).
 - **Numeric guards** — non-finite loss/gradient detection with a
   configurable policy (``raise`` / ``skip`` / ``rollback``), loss-spike
   counting, and guard counters surfaced on :class:`TrainHistory`.
@@ -160,6 +159,10 @@ class Trainer:
         self.model = model
         self.dataset = dataset
         self.config = config or TrainConfig()
+        for name in ("epochs", "batch_size", "eval_every"):
+            value = getattr(self.config, name)
+            if value < 1:
+                raise ValueError(f"TrainConfig.{name} must be >= 1, got {value}")
         if self.config.guard_policy not in GUARD_POLICIES:
             raise ValueError(
                 f"guard_policy must be one of {GUARD_POLICIES}, "

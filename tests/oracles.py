@@ -1,6 +1,6 @@
 """Reference implementations the production ops are checked against.
 
-Each oracle is composed only of primitive autograd ops, so its
+Each op oracle is composed only of primitive autograd ops, so its
 gradients follow from the primitives' own (separately gradchecked)
 backward passes.  They are deliberately slow and simple: the library
 keeps one production path per op, and these live with the tests.
@@ -11,12 +11,17 @@ keeps one production path per op, and these live with the tests.
 - :func:`attention_reference`: multi-head self-attention as three
   separate projections with an explicit score scale and head merge,
   the oracle for :class:`repro.nn.MultiHeadSelfAttention`.
+- :func:`sequential_views_loss`: the multi-view contrastive objectives
+  with one encoder walk per view, the oracle for the stacked
+  ``(3B, N, d)`` pass of
+  :meth:`repro.core.encoder.SequentialEncoderBase.encode_views`.
 """
 
 import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor, as_tensor
+from repro.core.contrastive import info_nce_loss
 
 
 def _mirror_weights(n: int) -> np.ndarray:
@@ -122,3 +127,33 @@ def attention_reference(attn, x, key_padding_mask=None) -> Tensor:
     probs = attn.attn_dropout(F.softmax(scores, axis=-1))
     context = F.transpose(F.matmul(probs, v), (0, 2, 1, 3))  # (B, N, H, hd)
     return attn.out(F.reshape(context, (batch, length, dim)))
+
+
+def sequential_views_loss(model, batch) -> Tensor:
+    """A contrastive model's training loss with three separate encodes.
+
+    Covers SLIME4Rec and DuoRec (Eq. 36: main pass, dropout view of the
+    same input, same-target view) and CL4SRec/CoSeRec (main pass, two
+    augmented views).  The views are encoded one ``(B, N, d)`` walk at
+    a time, in the order the stacked pass stacks them, so every dropout
+    and augmentation generator is consumed exactly as in
+    ``model.loss``.  Without contrastive views (``cl_weight <= 0`` or no
+    same-target positives) it is the plain recommendation loss.
+    """
+
+    def last_state(input_ids):
+        return F.getitem(model.encode_states(input_ids), (slice(None), -1))
+
+    settings = getattr(model, "config", model)  # SLIME4Rec keeps cl_* on its config
+    augment = getattr(model, "_augment_batch", None)
+    if settings.cl_weight <= 0.0 or (augment is None and batch.positive_ids is None):
+        return model.prediction_loss(last_state(batch.input_ids), batch.targets)
+    rec = model.prediction_loss(last_state(batch.input_ids), batch.targets)
+    if augment is None:
+        view_a = last_state(batch.input_ids)
+        view_b = last_state(batch.positive_ids)
+    else:
+        view_a = last_state(augment(batch.input_ids))
+        view_b = last_state(augment(batch.input_ids))
+    cl = info_nce_loss(view_a, view_b, temperature=settings.cl_temperature)
+    return F.add(rec, F.mul(cl, settings.cl_weight))

@@ -1,15 +1,16 @@
-"""Batched multi-view contrastive encode: equivalence and semantics.
+"""Stacked multi-view contrastive encode: equivalence and semantics.
 
-Covers the PR-4 fast path:
+Covers:
 
-- batched (one stacked ``(3B, N, d)`` walk) vs unbatched (three
-  sequential encodes) **loss and training-trajectory equivalence** for
-  SLIME4Rec and DuoRec, in both dtypes, with ``cl_weight`` zero and
-  positive;
+- the stacked ``(3B, N, d)`` training loss of every multi-view model
+  (SLIME4Rec, DuoRec, CL4SRec, CoSeRec) against the three-pass oracle
+  :func:`oracles.sequential_views_loss` — loss, every parameter
+  gradient and optimizer-coupled trajectories, in both dtypes, with
+  ``cl_weight`` zero and positive;
 - the **per-view dropout stream** contract
   (:func:`repro.autograd.workspace.dropout_views` /
   ``F.dropout(views=...)``): a stacked draw consumes each generator
-  exactly like V separate per-view draws, in both mask modes;
+  exactly like V separate per-view draws;
 - **chunked cross-entropy** (:func:`repro.autograd.functional.linear_cross_entropy`
   and the model-level ``ce_chunk_size`` knob) against the dense path.
 """
@@ -17,20 +18,23 @@ Covers the PR-4 fast path:
 import numpy as np
 import pytest
 
+from oracles import sequential_views_loss
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
-from repro.autograd.workspace import dropout_view_count, dropout_views, fast_dropout_masks
+from repro.autograd.workspace import dropout_view_count, dropout_views
+from repro.baselines.cl4srec import CL4SRec
+from repro.baselines.coserec import CoSeRec
 from repro.baselines.duorec import DuoRec
 from repro.core import Slime4Rec, SlimeConfig
+from repro.data.augmentation import ItemCorrelation
 from repro.data.batching import Batch
 from repro.optim import Adam
 
+NUM_ITEMS = 30
+MAX_LEN = 12
 
-def t(a):
-    return Tensor(np.asarray(a, dtype=np.float64))
 
-
-def random_batch(num_items=30, max_len=12, batch=6, seed=0, with_positive=True):
+def random_batch(num_items=NUM_ITEMS, max_len=MAX_LEN, batch=6, seed=0, with_positive=True):
     rng = np.random.default_rng(seed)
     inputs = rng.integers(1, num_items + 1, size=(batch, max_len))
     inputs[:, : max_len // 3] = 0  # left padding
@@ -41,23 +45,49 @@ def random_batch(num_items=30, max_len=12, batch=6, seed=0, with_positive=True):
     return Batch(input_ids=inputs, targets=targets, positive_ids=positives)
 
 
-def build_slime(batched, dtype="float64", cl_weight=0.1, **overrides):
+def build_slime(dtype="float64", cl_weight=0.1, **overrides):
     cfg = SlimeConfig(
-        num_items=30, max_len=12, hidden_dim=16, num_layers=2,
-        cl_weight=cl_weight, batched_views=batched, seed=0, dtype=dtype,
-        **overrides,
+        num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, num_layers=2,
+        cl_weight=cl_weight, seed=0, dtype=dtype, **overrides,
     )
     return Slime4Rec(cfg)
 
 
-def build_duorec(batched, dtype="float64", cl_weight=0.1):
+def build_duorec(dtype="float64", cl_weight=0.1, **overrides):
     return DuoRec(
-        num_items=30, max_len=12, hidden_dim=16, num_layers=1, num_heads=2,
-        cl_weight=cl_weight, batched_views=batched, seed=0, dtype=dtype,
+        num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, num_layers=1, num_heads=2,
+        cl_weight=cl_weight, seed=0, dtype=dtype, **overrides,
     )
 
 
-def train_losses(model, steps=3, seed=0, with_positive=True):
+def build_cl4srec(dtype="float64", cl_weight=0.1):
+    return CL4SRec(
+        num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, num_layers=1, num_heads=2,
+        cl_weight=cl_weight, seed=0, dtype=dtype,
+    )
+
+
+def build_coserec(dtype="float64", cl_weight=0.1):
+    model = CoSeRec(
+        num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, num_layers=1, num_heads=2,
+        cl_weight=cl_weight, seed=0, dtype=dtype,
+    )
+    # Co-occurrence statistics over random sequences, so the substitute /
+    # insert augmentations actually change the views.
+    sequences = np.random.default_rng(5).integers(1, NUM_ITEMS + 1, size=(40, MAX_LEN))
+    model._correlation = ItemCorrelation(sequences.tolist())
+    return model
+
+
+BUILDERS = [build_slime, build_duorec, build_cl4srec, build_coserec]
+BUILDER_IDS = ["SLIME4Rec", "DuoRec", "CL4SRec", "CoSeRec"]
+
+
+def stacked_loss(model, batch):
+    return model.loss(batch)
+
+
+def train_losses(model, loss_fn=stacked_loss, steps=3, seed=0, with_positive=True):
     """Optimizer-coupled loss trajectory: any divergence compounds."""
     model.train()
     optimizer = Adam(model.parameters())
@@ -65,43 +95,64 @@ def train_losses(model, steps=3, seed=0, with_positive=True):
     for step in range(steps):
         batch = random_batch(seed=seed + step, with_positive=with_positive)
         optimizer.zero_grad()
-        loss = model.loss(batch)
+        loss = loss_fn(model, batch)
         loss.backward()
         optimizer.step()
         losses.append(float(loss.data))
     return np.array(losses)
 
 
+def loss_and_grads(model, loss_fn, batch):
+    model.train()
+    loss = loss_fn(model, batch)
+    loss.backward()
+    return float(loss.data), {name: p.grad.copy() for name, p in model.named_parameters()}
+
+
 # ----------------------------------------------------------------------
-# Batched vs unbatched loss equivalence
+# Stacked views vs the three-pass oracle
 # ----------------------------------------------------------------------
 
 
-class TestBatchedViewEquivalence:
+class TestStackedViewsMatchOracle:
     @pytest.mark.parametrize("cl_weight", [0.0, 0.2])
-    def test_slime4rec_float64_trajectory_matches(self, cl_weight):
-        a = train_losses(build_slime(True, cl_weight=cl_weight))
-        b = train_losses(build_slime(False, cl_weight=cl_weight))
+    @pytest.mark.parametrize("builder", BUILDERS, ids=BUILDER_IDS)
+    def test_float64_trajectory_matches(self, builder, cl_weight):
+        a = train_losses(builder(cl_weight=cl_weight))
+        b = train_losses(builder(cl_weight=cl_weight), sequential_views_loss)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("cl_weight", [0.0, 0.2])
-    def test_duorec_float64_trajectory_matches(self, cl_weight):
-        a = train_losses(build_duorec(True, cl_weight=cl_weight))
-        b = train_losses(build_duorec(False, cl_weight=cl_weight))
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("builder", [build_slime, build_duorec])
+    @pytest.mark.parametrize("builder", BUILDERS, ids=BUILDER_IDS)
     def test_float32_trajectory_matches_loosely(self, builder):
-        a = train_losses(builder(True, dtype="float32"))
-        b = train_losses(builder(False, dtype="float32"))
+        a = train_losses(builder(dtype="float32"))
+        b = train_losses(builder(dtype="float32"), sequential_views_loss)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-4)
+
+    @pytest.mark.parametrize("dtype, atol", [("float64", 1e-9), ("float32", 1e-5)])
+    @pytest.mark.parametrize("builder", BUILDERS, ids=BUILDER_IDS)
+    def test_loss_and_gradients_match_oracle(self, builder, dtype, atol):
+        batch = random_batch()
+        loss, grads = loss_and_grads(builder(dtype=dtype), stacked_loss, batch)
+        ref_loss, ref_grads = loss_and_grads(builder(dtype=dtype), sequential_views_loss, batch)
+        np.testing.assert_allclose(loss, ref_loss, rtol=0, atol=atol)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            np.testing.assert_allclose(
+                grads[name], ref_grads[name], rtol=0, atol=atol, err_msg=name
+            )
+
+    def test_augmented_views_differ_from_input(self):
+        """The CL4SRec/CoSeRec comparisons above exercise real augmentation."""
+        batch = random_batch()
+        for model in (build_cl4srec(), build_coserec()):
+            assert not np.array_equal(model._augment_batch(batch.input_ids), batch.input_ids)
 
     def test_missing_positive_falls_back_to_rec_loss(self):
         # Two identically-seeded models so both calls consume identical
         # dropout streams: loss(batch) without positives must be exactly
         # the plain recommendation loss.
-        model = build_slime(True)
-        twin = build_slime(True)
+        model = build_slime()
+        twin = build_slime()
         batch = random_batch(with_positive=False)
         model.train()
         twin.train()
@@ -109,41 +160,22 @@ class TestBatchedViewEquivalence:
         rec = twin.recommendation_loss(batch.input_ids, batch.targets)
         assert float(loss.data) == pytest.approx(float(rec.data), abs=1e-12)
 
-    def test_noise_protocol_uses_reference_path(self):
-        """noise_eps > 0 couples views through the batch std -> unbatched."""
-        model = build_slime(True, noise_eps=0.1)
-        ref = build_slime(False, noise_eps=0.1)
-        a = train_losses(model)
-        b = train_losses(ref)
+    @pytest.mark.parametrize("builder", [build_slime, build_duorec], ids=["SLIME4Rec", "DuoRec"])
+    def test_noise_protocol_uses_reference_path(self, builder):
+        """noise_eps > 0 couples views through the batch std -> three passes."""
+        a = train_losses(builder(noise_eps=0.1))
+        b = train_losses(builder(noise_eps=0.1), sequential_views_loss)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
-    def test_gradients_match_unbatched(self):
-        batch = random_batch()
-        grads = {}
-        for batched in (True, False):
-            model = build_slime(batched)
-            model.train()
-            loss = model.loss(batch)
-            loss.backward()
-            grads[batched] = {
-                name: p.grad.copy() for name, p in model.named_parameters()
-            }
-        assert grads[True].keys() == grads[False].keys()
-        for name in grads[True]:
-            np.testing.assert_allclose(
-                grads[True][name], grads[False][name], rtol=0, atol=1e-9,
-                err_msg=name,
-            )
-
     def test_encode_views_rejects_shape_mismatch(self):
-        model = build_slime(True)
+        model = build_slime()
         with pytest.raises(ValueError):
             model.encode_views(
                 (np.zeros((4, 12), dtype=np.int64), np.zeros((3, 12), dtype=np.int64))
             )
 
     def test_encode_views_needs_two_views(self):
-        model = build_slime(True)
+        model = build_slime()
         with pytest.raises(ValueError):
             model.encode_views((np.zeros((4, 12), dtype=np.int64),))
 
@@ -154,7 +186,7 @@ class TestBatchedViewEquivalence:
 
 
 class TestDropoutViewStreams:
-    def test_stacked_draw_equals_per_view_draws_seed_path(self):
+    def test_stacked_draw_equals_per_view_draws(self):
         x = np.ones((6, 4, 3))
         stacked = F.dropout(
             Tensor(x), 0.4, training=True, rng=np.random.default_rng(7), views=3
@@ -164,21 +196,6 @@ class TestDropoutViewStreams:
             F.dropout(Tensor(x[i * 2 : (i + 1) * 2]), 0.4, training=True, rng=rng)
             for i in range(3)
         ]
-        np.testing.assert_array_equal(
-            stacked.data, np.concatenate([p.data for p in parts], axis=0)
-        )
-
-    def test_stacked_draw_equals_per_view_draws_fast_path(self):
-        x = np.ones((6, 5))
-        with fast_dropout_masks():
-            stacked = F.dropout(
-                Tensor(x), 0.3, training=True, rng=np.random.default_rng(3), views=3
-            )
-            rng = np.random.default_rng(3)
-            parts = [
-                F.dropout(Tensor(x[i * 2 : (i + 1) * 2]), 0.3, training=True, rng=rng)
-                for i in range(3)
-            ]
         np.testing.assert_array_equal(
             stacked.data, np.concatenate([p.data for p in parts], axis=0)
         )
@@ -223,7 +240,7 @@ class TestDropoutViewStreams:
 
     def test_view_count_restored_after_raising_forward(self):
         """An exception inside a batched encode must not leak view state."""
-        model = build_slime(batched=True)
+        model = build_slime()
         model.train()
         bad = random_batch()
         # Sabotage the stacked pass *inside* the dropout_views context:
@@ -315,15 +332,17 @@ class TestChunkedCrossEntropy:
         with pytest.raises(IndexError):
             F.linear_cross_entropy(user, weight, np.array([1, -3, 2]), chunk_size=4)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_model_ce_chunk_size_matches_dense(self, batched):
+    @pytest.mark.parametrize(
+        "loss_fn", [stacked_loss, sequential_views_loss], ids=["stacked", "oracle"]
+    )
+    def test_model_ce_chunk_size_matches_dense(self, loss_fn):
         batch = random_batch()
-        dense_model = build_slime(batched)
-        chunked_model = build_slime(batched, ce_chunk_size=7)
+        dense_model = build_slime()
+        chunked_model = build_slime(ce_chunk_size=7)
         dense_model.train()
         chunked_model.train()
-        dense = dense_model.loss(batch)
-        chunked = chunked_model.loss(batch)
+        dense = loss_fn(dense_model, batch)
+        chunked = loss_fn(chunked_model, batch)
         dense.backward()
         chunked.backward()
         np.testing.assert_allclose(float(dense.data), float(chunked.data), atol=1e-10)

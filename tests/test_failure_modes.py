@@ -133,13 +133,17 @@ class TestTrainerEdgeCases:
         trainer.fit()
         assert trainer.optimizer.lr < trainer.config.lr
 
-    def test_zero_epochs_is_a_noop(self, dataset):
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 0), ("epochs", -1), ("batch_size", 0), ("eval_every", 0)],
+    )
+    def test_nonpositive_loop_setting_rejected_at_construction(self, dataset, field, value):
+        # Left unchecked, epochs=0 returned a history whose summary()
+        # raised IndexError, batch_size=0 failed inside numpy and
+        # eval_every=0 died with ZeroDivisionError after a whole epoch.
         model = Slime4Rec(
             SlimeConfig(num_items=dataset.num_items, max_len=8, hidden_dim=16, seed=0)
         )
-        before = {k: v.copy() for k, v in model.state_dict().items()}
-        trainer = Trainer(model, dataset, TrainConfig(epochs=0, batch_size=64))
-        history = trainer.fit()
-        assert history.losses == []
-        after = model.state_dict()
-        assert all(np.allclose(before[k], after[k]) for k in before)
+        config = TrainConfig(**{"epochs": 1, "batch_size": 64, field: value})
+        with pytest.raises(ValueError, match=f"TrainConfig.{field} must be >= 1"):
+            Trainer(model, dataset, config)

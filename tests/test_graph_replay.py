@@ -4,10 +4,10 @@ The contract under test (``repro.autograd.graph``): a training step
 captured once into a :class:`~repro.autograd.graph.Tape` and replayed
 on subsequent same-shape batches produces **bitwise-identical** losses,
 gradients and parameter trajectories to the dynamic engine — across
-models, dtypes, batched-view modes and dropout mask modes — and every
-divergence the tape cannot absorb (ragged batch, ambient config change,
-parameter rebind, replay-unsafe op) triggers the documented fallback or
-recapture instead of silently wrong numbers.
+models and dtypes — and every divergence the tape cannot absorb
+(ragged batch, ambient config change, parameter rebind, replay-unsafe
+op) triggers the documented fallback or recapture instead of silently
+wrong numbers.
 """
 
 import logging
@@ -23,7 +23,7 @@ from repro.autograd.graph import (
     is_capturing,
 )
 from repro.autograd.tensor import Tensor
-from repro.autograd.workspace import dropout_views, fast_dropout_masks
+from repro.autograd.workspace import dropout_views
 from repro.baselines import build_baseline
 from repro.baselines.fmlprec import FMLPRec
 from repro.baselines.gru4rec import GRU4Rec
@@ -51,10 +51,10 @@ def random_batch(seed=0, batch=6, with_positive=True):
     return Batch(input_ids=inputs, targets=targets, positive_ids=positives)
 
 
-def build_slime(dtype="float64", batched=True, **overrides):
+def build_slime(dtype="float64", **overrides):
     cfg = SlimeConfig(
         num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, num_layers=2,
-        cl_weight=0.1, batched_views=batched, seed=0, dtype=dtype, **overrides,
+        cl_weight=0.1, seed=0, dtype=dtype, **overrides,
     )
     return Slime4Rec(cfg)
 
@@ -131,19 +131,6 @@ class TestReplayBitwiseMatrix:
         static = run_trajectory(
             build_model(name, dtype), static=True, with_positive=with_positive
         )
-        assert_trajectories_bitwise(dynamic, static)
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_slime_unbatched_views_bitwise(self, dtype):
-        dynamic = run_trajectory(build_slime(dtype, batched=False), static=False)
-        static = run_trajectory(build_slime(dtype, batched=False), static=True)
-        assert_trajectories_bitwise(dynamic, static)
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_slime_fast_mask_mode_bitwise(self, dtype):
-        with fast_dropout_masks():
-            dynamic = run_trajectory(build_slime(dtype), static=False)
-            static = run_trajectory(build_slime(dtype), static=True)
         assert_trajectories_bitwise(dynamic, static)
 
     def test_trainer_flag_end_to_end_bitwise(self, small_dataset):

@@ -170,11 +170,8 @@ class TestEncoderInferenceHooks:
         with no_grad():
             want = model.user_representation(inputs).data
         np.testing.assert_array_equal(model.encode_users(inputs), want)
-        # single-window convenience shape and chunked batches
+        # single-window convenience shape
         np.testing.assert_array_equal(model.encode_users(inputs[0]), want[:1])
-        np.testing.assert_allclose(
-            model.encode_users(inputs, batch_size=4), want, rtol=1e-5, atol=1e-6
-        )
 
     @pytest.mark.parametrize("name", ["SLIME4Rec", "SASRec"])
     @pytest.mark.parametrize("rows", [1, 40])
@@ -183,9 +180,9 @@ class TestEncoderInferenceHooks:
         model = make_model(dataset, name=name)
         model.eval()
         inputs = dataset.eval_arrays("valid")[0][:rows]
-        for vecs in (model.encode_users(inputs), model.encode_users(inputs, batch_size=16)):
-            assert vecs.shape == (rows, model.hidden_dim)
-            assert vecs.base is None or vecs.base.nbytes <= vecs.nbytes
+        vecs = model.encode_users(inputs)
+        assert vecs.shape == (rows, model.hidden_dim)
+        assert vecs.base is None or vecs.base.nbytes <= vecs.nbytes
 
     def test_inference_version_ticks_on_optimizer_step(self, dataset):
         model = make_model(dataset)

@@ -263,6 +263,44 @@ class TestDeadlines:
                     continue
             assert not result.degraded
 
+    def test_second_caller_during_stalled_encode_meets_its_deadline(
+        self, dataset
+    ):
+        """A caller arriving mid-stall is not held behind the stalled batch.
+
+        The stall outlasts deadline + slack, so a caller that waited for
+        the in-flight batch (on any lock it holds) would fail the bound.
+        """
+        model = make_model(dataset)
+        config = ServingConfig(batching=True, request_timeout_ms=200.0)
+        stall_s = (200.0 + SLACK_MS) / 1000.0 + 1.5
+        injector = FaultInjector().delay_at("serve.encode", seconds=stall_s)
+        with RecommenderService(model, config) as service:
+            seed_users(service, dataset, 2)
+            with inject(injector):
+                first_errors = []
+
+                def first_caller():
+                    try:
+                        service.recommend(0)
+                    except DeadlineExceeded as exc:
+                        first_errors.append(exc)
+
+                first = threading.Thread(target=first_caller)
+                first.start()
+                wait_until = time.monotonic() + 10.0
+                while not injector.fired and time.monotonic() < wait_until:
+                    time.sleep(0.005)
+                assert injector.fired == [("serve.encode", 0)]
+                start = time.perf_counter()
+                with pytest.raises(DeadlineExceeded):
+                    service.recommend(1)
+                elapsed_ms = (time.perf_counter() - start) * 1000.0
+                first.join()
+            assert elapsed_ms < 200.0 + SLACK_MS
+            assert len(first_errors) == 1
+            assert service.stats()["requests"] == 2
+
     def test_expired_queued_requests_are_drained_not_encoded(self, dataset):
         """The collector fails expired requests instead of serving them."""
         model = make_model(dataset)
