@@ -2,10 +2,11 @@
 """Serving-latency A/B: the fast online path vs the naive baseline.
 
 The question this answers: at a production catalog (default 100k
-items), what do the serving subsystem's four optimizations — cached
-user state, request micro-batching, the float16 item table and blocked
-``argpartition`` top-k — buy over the naive loop that re-encodes every
-request and full-sorts the float32 catalog?
+items), what do the serving subsystem's three optimizations — cached
+user state, request micro-batching and blocked ``argpartition`` top-k —
+buy over the naive loop that re-encodes every request and full-sorts
+the catalog?  Both arms score the same model-dtype (float32) item
+table in one-row tiles, so their scores are the same bits.
 
 Setup (no dataset build — random-id traffic at serving geometry):
 
@@ -13,8 +14,8 @@ Setup (no dataset build — random-id traffic at serving geometry):
    with sampled softmax on Zipf-popular sequences whose next item
    follows a fixed hidden successor map, so top-k has real signal.
 2. **Fidelity gate**: serve the same held-out users through the fast
-   arm (float16 table + blocked top-k) and the reference arm (float32
-   + full sort); HR@10 / NDCG@10 must agree within 0.01 absolute.
+   arm (blocked top-k) and the reference arm (full sort); HR@10 /
+   NDCG@10 must agree within 0.01 absolute.
 3. **Latency replay**: closed-loop worker threads replay a Zipfian
    user stream (observe one event, then recommend) against each arm,
    interleaving the arms round-robin to cancel thermal/cache drift.
@@ -188,7 +189,6 @@ def arm_configs(args) -> dict:
     return {
         "serve_fast": ServingConfig(
             k=args.k,
-            table_dtype="float16",
             topk="blocked",
             micro_batch=32,
             max_wait_ms=2.0,
@@ -197,7 +197,6 @@ def arm_configs(args) -> dict:
         ),
         "serve_naive": ServingConfig(
             k=args.k,
-            table_dtype="float32",
             topk="full_sort",
             batching=False,
             reuse_user_state=False,
@@ -206,7 +205,6 @@ def arm_configs(args) -> dict:
         # to when the model path is down (enter_fallback after seeding)
         "serve_degraded": ServingConfig(
             k=args.k,
-            table_dtype="float16",
             topk="blocked",
             micro_batch=32,
             max_wait_ms=2.0,
@@ -218,7 +216,6 @@ def arm_configs(args) -> dict:
         # instead of absorbed as queue time (replayed at 2x concurrency)
         "serve_overload": ServingConfig(
             k=args.k,
-            table_dtype="float16",
             topk="blocked",
             micro_batch=4,
             max_wait_ms=2.0,
@@ -236,7 +233,7 @@ PRIMARY_ARMS = ("serve_fast", "serve_naive")
 
 
 def fidelity_gate(args, model, traffic: Traffic, rng) -> dict:
-    """HR@10/NDCG@10 of the fp16-blocked arm vs the f32 full-sort arm.
+    """HR@10/NDCG@10 of the blocked fast arm vs the full-sort naive arm.
 
     Both arms rank the same held-out users against the same hidden
     successor targets (targets never appear in the history, so
@@ -425,7 +422,6 @@ def latency_ab(args, model, traffic: Traffic, rng) -> dict:
             "mean_batch_size": round(stats["mean_batch_size"], 2),
             "encodes": stats["encodes"],
             "user_vec_reuses": stats["user_vec_reuses"],
-            "table_dtype": stats["table_dtype"],
             "table_mb": round(stats["table_nbytes"] / 1e6, 1),
         }
         print(f"[{name:>14}] p50 {summary[name]['p50_ms']:8.2f} ms  "

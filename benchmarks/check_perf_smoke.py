@@ -8,7 +8,7 @@ them exceeds its wall-clock budget.  A **static-graph smoke** follows:
 one capture-replay-equality cell (tape replay pinned bitwise against
 the dynamic engine, variant ``static_graph`` in the history).  Then a
 **serving smoke**: an
-inline Zipf replay through the fast online arm (float16 item table +
+inline Zipf replay through the fast online arm (model-dtype item table +
 blocked top-k, ``repro.serving``) whose p50/p99 are gated the same way
 under the ``serve_p50`` / ``serve_p99`` history variants, and a
 **serving chaos cell**: concurrent traffic through a shed-policy
@@ -78,15 +78,16 @@ GEOMETRY = {
 }
 
 #: Geometry of the serving-smoke records (variants ``serve_p50`` /
-#: ``serve_p99``): an inline fp16-table blocked-top-k replay on the
-#: same preset/model as the training smoke.
+#: ``serve_p99``): an inline blocked-top-k replay on the same
+#: preset/model as the training smoke.  Records from before the
+#: float16 table was removed carry ``"table_dtype": "float16"``; later
+#: ones time the model-dtype (float32) table.
 SERVING_GEOMETRY = {
     "dataset": "beauty",
     "scale": 0.2,
     "max_len": 32,
     "hidden_dim": 64,
     "model": "SLIME4Rec",
-    "table_dtype": "float16",
     "topk": "blocked",
     "requests": 250,
 }
@@ -265,7 +266,7 @@ def _measure_serving(dataset):
     """Inline Zipf replay through the fast serving arm; p50/p99 in ms.
 
     Single-threaded and unbatched (``batching=False``) so the numbers
-    measure the serving pipeline itself — encode, fp16-table scoring,
+    measure the serving pipeline itself — encode, one-row-tile scoring,
     blocked top-k — without collector-wait or thread-scheduling noise.
     """
     import numpy as np
@@ -278,7 +279,6 @@ def _measure_serving(dataset):
         hidden_dim=SERVING_GEOMETRY["hidden_dim"], seed=0, dtype="float32",
     )
     config = ServingConfig(
-        table_dtype=SERVING_GEOMETRY["table_dtype"],
         topk=SERVING_GEOMETRY["topk"],
         batching=False,
     )
@@ -336,7 +336,6 @@ def _measure_serving_chaos(dataset):
         hidden_dim=SERVING_GEOMETRY["hidden_dim"], seed=0, dtype="float32",
     )
     config = ServingConfig(
-        table_dtype=SERVING_GEOMETRY["table_dtype"],
         topk=SERVING_GEOMETRY["topk"],
         batching=True,
         micro_batch=4,
@@ -575,7 +574,7 @@ def main() -> int:
         return failures
 
     serving = _measure_serving(dataset)
-    print(f"[serving] inline fp16-blocked replay: p50 {serving['p50_ms']:.2f} ms  "
+    print(f"[serving] inline blocked replay: p50 {serving['p50_ms']:.2f} ms  "
           f"p99 {serving['p99_ms']:.2f} ms")
     failures = _serve_failures(serving)
     if failures:

@@ -65,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     # serving knobs
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument(
-        "--table-dtype", choices=("float16", "float32", "float64", "model"),
-        default="float16", help="eval-only item-table precision (default float16)",
-    )
-    parser.add_argument(
         "--topk", choices=("blocked", "full_sort"), default="blocked",
         help="top-k strategy (full_sort is the naive reference)",
     )
@@ -137,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_service(args, model) -> RecommenderService:
     config = ServingConfig(
         k=args.k,
-        table_dtype=args.table_dtype,
         block_size=args.block_size,
         topk=args.topk,
         micro_batch=args.micro_batch,
@@ -247,7 +242,7 @@ def _replay(args, service: RecommenderService, dataset, out) -> dict:
     print(
         f"batches {stats['batches']} (mean size {stats['mean_batch_size']:.1f})  "
         f"encodes {stats['encodes']}  vec reuses {stats['user_vec_reuses']}  "
-        f"table {stats['table_dtype']} ({stats['table_nbytes'] / 1e6:.1f} MB)",
+        f"table {stats['table_nbytes'] / 1e6:.1f} MB",
         file=out,
     )
     return summary

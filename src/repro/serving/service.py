@@ -12,9 +12,10 @@ into one request path:
    batch-axis stacking the training-side ``encode_views`` uses — behind
    a max-batch / max-wait collector thread.  ``recommend`` stays a
    plain synchronous call; the batching is invisible to callers.
-3. **Half-precision item table** (:mod:`repro.serving.table`): scoring
-   runs against an eval-only float16 snapshot of the item embeddings,
-   cast and GEMM'd block-by-block in float32.
+3. **Item table** (:mod:`repro.serving.table`): scoring runs against
+   an eval-only snapshot of the item embeddings in the model dtype,
+   one ``(1, d) @ (d, block)`` product per user row, so a user's
+   scores are the same bits whatever batch it is served in.
 4. **Blocked top-k** (:mod:`repro.evaluation.topk`): each score block
    folds straight into an ``argpartition`` candidate pool with
    seen-item masking; the full ``(B, V)`` score matrix and any full
@@ -30,12 +31,12 @@ into one request path:
 
 Every piece degrades independently through :class:`ServingConfig` —
 ``batching=False`` serves inline in the caller's thread,
-``reuse_user_state=False`` re-encodes every request,
-``table_dtype="float32"`` / ``topk="full_sort"`` select the reference
-arms — which is exactly how ``benchmarks/bench_serving_latency.py``
-builds its naive baseline.  All robustness knobs default **off** (no
-deadlines, unbounded queue, blocking admission), and with them off the
-request path is byte-for-byte the classic fast arm.
+``reuse_user_state=False`` re-encodes every request and
+``topk="full_sort"`` selects the reference arm — which is exactly how
+``benchmarks/bench_serving_latency.py`` builds its naive baseline.  All
+robustness knobs default **off** (no deadlines, unbounded queue,
+blocking admission), and with them off the request path is
+byte-for-byte the classic fast arm.
 
 Consistency contract: one batch is scored under one parameter version.
 The service checks :meth:`ItemTable.is_stale` per batch and refreshes
@@ -134,8 +135,6 @@ class ServingConfig:
 
     #: recommendations per request (overridable per call)
     k: int = 10
-    #: item-table snapshot dtype: "float16" | "float32" | "float64" | "model"
-    table_dtype: str = "float16"
     #: catalog column-block width for blocked scoring / top-k
     block_size: int = 8192
     #: "blocked" (argpartition pool) or "full_sort" (naive reference)
@@ -284,9 +283,7 @@ class RecommenderService:
         model.eval()
         self.num_items = int(model.num_items)
         self._lock = threading.Lock()
-        self._table = ItemTable(
-            model, dtype=self.config.table_dtype, block_size=self.config.block_size
-        )
+        self._table = ItemTable(model, block_size=self.config.block_size)
         self.sessions = SessionCache(
             model.max_len, capacity=self.config.cache_capacity
         )
@@ -652,7 +649,8 @@ class RecommenderService:
                     )
                 )
         except BaseException as exc:
-            self._model_errors += 1
+            with self._cond:
+                self._model_errors += 1
             if self.config.on_error == "degrade":
                 try:
                     self._serve_fallback(live)
@@ -753,8 +751,8 @@ class RecommenderService:
     def refresh_table(self) -> None:
         """Re-snapshot the item table, double-buffered.
 
-        The expensive part — re-reading ``score_context()`` and casting
-        the ``(d, V+1)`` table — happens **off the serving lock** into a
+        The expensive part — re-reading ``score_context()`` into a new
+        ``(d, V+1)`` table — happens **off the serving lock** into a
         fresh :class:`ItemTable`; only the O(1) reference swap takes the
         lock, so concurrent ``recommend`` traffic keeps being served
         from the old snapshot for the whole build.  A failed build
@@ -797,9 +795,10 @@ class RecommenderService:
 
     def stats(self) -> dict:
         """Serving counters: request/batch/cache plus failure accounting."""
-        # _requests is counted under _cond, never held across a batch
+        # counters written under _cond, which is never held across a batch
         with self._cond:
             requests = self._requests
+            model_errors = self._model_errors
         with self._lock:
             batches = max(self._batches, 1)
             return {
@@ -812,13 +811,12 @@ class RecommenderService:
                 "sessions": len(self.sessions),
                 "session_evictions": self.sessions.evictions,
                 "table_refreshes": self._table.refreshes,
-                "table_dtype": str(self._table.table.dtype),
                 "table_nbytes": self._table.nbytes(),
                 # resilience counters
                 "sheds": self._sheds,
                 "deadline_expired": self._deadline_expired,
                 "degraded": self._degraded,
-                "model_errors": self._model_errors,
+                "model_errors": model_errors,
                 "collector_failures": self._collector_failures,
                 "refresh_errors": self._refresh_errors,
                 "fallback_active": self._fallback_active,

@@ -12,9 +12,13 @@ The load-bearing properties:
   is detected (table staleness + per-vector version stamps) and every
   cached artifact is rebuilt before the next response.
 - **The fast path is the reference path.**  Micro-batched + blocked
-  top-k results equal the naive per-request full-sort scoring arm
-  exactly at equal table precision; the float16 table equals scoring
-  against an explicitly float16-cast table.
+  top-k results equal the naive per-request full-sort scoring arm; the
+  table is the model-dtype ``score_context`` and served scores are its
+  one-row products, uncast.
+- **Batch invariance.**  A user's served ids and score bits do not
+  depend on which other requests share its batch (fresh or dirty,
+  duplicated, after an injected scoring fault): they equal serving that
+  user alone under the same config.
 - **Satellite pin**: `predict_scores` / the serving encode run under
   `no_grad` — evaluation scoring builds no autograd graph.
 """
@@ -23,6 +27,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autograd.tensor import is_grad_enabled, no_grad
 from repro.baselines import build_baseline
@@ -39,6 +44,7 @@ from repro.serving import (
     UserSession,
 )
 from repro.serving.cli import main as serve_cli_main
+from repro.utils.faults import FaultInjector, inject
 
 MAX_LEN = 16
 
@@ -48,8 +54,8 @@ def dataset():
     return load_preset("beauty", scale=0.1, max_len=MAX_LEN)
 
 
-def make_model(dataset, dtype="float32", name="SLIME4Rec", seed=0):
-    return build_baseline(name, dataset, hidden_dim=16, seed=seed, dtype=dtype)
+def make_model(dataset, dtype="float32", name="SLIME4Rec", seed=0, hidden_dim=16):
+    return build_baseline(name, dataset, hidden_dim=hidden_dim, seed=seed, dtype=dtype)
 
 
 # ----------------------------------------------------------------------
@@ -206,42 +212,43 @@ def _tiny_batch(dataset):
 
 
 class TestItemTable:
-    def test_fp16_snapshot_leaves_training_dtype_untouched(self, dataset):
-        model = make_model(dataset, dtype="float32")
-        table = ItemTable(model, dtype="float16")
-        assert table.table.dtype == np.float16
-        assert model.item_embedding.weight.dtype == np.float32
-        assert table.compute_dtype == np.float32
-        np.testing.assert_array_equal(
-            table.table, model.score_context().astype(np.float16)
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_snapshot_is_the_model_dtype_score_context(self, dataset, dtype):
+        model = make_model(dataset, dtype=dtype)
+        table = ItemTable(model)
+        assert table.table.dtype == model.item_embedding.weight.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(table.table, model.score_context())
+        users = table.prepare_users(np.ones((2, 16)))
+        assert users.dtype == table.score_block(users, 0, 5).dtype == np.dtype(dtype)
+        with pytest.raises(ValueError, match="block_size"):
+            ItemTable(model, block_size=0)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_blocked_scoring_is_one_row_products_on_the_grid(self, dataset, dtype):
+        """Each row is its own one-row product: score_block over the
+        table's grid is score_all bitwise, a row's bits do not depend on
+        its neighbours, and the values are the plain GEMM's."""
+        model = make_model(dataset, dtype=dtype, hidden_dim=64)
+        table = ItemTable(model, block_size=7)
+        users = table.prepare_users(np.random.default_rng(1).standard_normal((5, 64)))
+        full = table.score_all(users)
+        blocks = np.concatenate(
+            [
+                table.score_block(users, start, start + 7)
+                for start in range(0, table.num_columns, 7)
+            ],
+            axis=1,
         )
-
-    def test_model_dtype_snapshot(self, dataset):
-        model = make_model(dataset, dtype="float64")
-        table = ItemTable(model, dtype="model")
-        assert table.table.dtype == np.float64
-        with pytest.raises(ValueError, match="dtype"):
-            ItemTable(model, dtype="int8")
-
-    def test_blocked_scoring_matches_full_gemm(self, dataset):
-        model = make_model(dataset, dtype="float32")
-        for table_dtype in ("float16", "float32"):
-            table = ItemTable(model, dtype=table_dtype, block_size=7)
-            users = table.prepare_users(np.random.default_rng(1).standard_normal((5, 16)))
-            full = table.score_all(users)
-            blocks = np.concatenate(
-                [
-                    table.score_block(users, start, start + 7)
-                    for start in range(0, table.num_columns, 7)
-                ],
-                axis=1,
-            )
-            np.testing.assert_allclose(blocks, full, rtol=1e-6, atol=1e-6)
+        np.testing.assert_array_equal(blocks, full)
+        for row in range(users.shape[0]):
+            alone = table.prepare_users(np.array(users[row : row + 1]))
+            np.testing.assert_array_equal(table.score_all(alone)[0], full[row])
+        np.testing.assert_allclose(full, users @ table.table, rtol=1e-5, atol=1e-5)
 
     def test_staleness_detected_after_parameter_update(self, dataset):
         """score_context consumers can detect parameter updates."""
         model = make_model(dataset, dtype="float32")
-        table = ItemTable(model, dtype="float16")
+        table = ItemTable(model)
         assert not table.is_stale(model)
         optimizer = Adam(model.parameters())
         optimizer.zero_grad()
@@ -258,10 +265,8 @@ class TestItemTable:
 
 
 def exact_config(**overrides):
-    """Blocked path at model precision — isolates machinery from fp16."""
-    base = dict(
-        k=10, table_dtype="model", topk="blocked", block_size=13, batching=False
-    )
+    """Blocked path, inline, with several column blocks per catalog."""
+    base = dict(k=10, topk="blocked", block_size=13, batching=False)
     base.update(overrides)
     return ServingConfig(**base)
 
@@ -437,7 +442,6 @@ class TestServicePathEquivalence:
             model,
             ServingConfig(
                 k=10,
-                table_dtype="float32",
                 topk="full_sort",
                 batching=False,
                 reuse_user_state=False,
@@ -458,22 +462,22 @@ class TestServicePathEquivalence:
             )
         assert naive.stats()["encodes"] == len(users)
 
-    def test_fp16_table_equals_explicit_fp16_reference(self, dataset):
-        """The fp16 arm is exact w.r.t. scoring a fp16-cast table in f32."""
-        model = make_model(dataset, dtype="float32")
-        service = RecommenderService(
-            model, ServingConfig(k=6, table_dtype="float16", batching=False, block_size=5)
-        )
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_served_scores_are_uncast_one_row_products(self, dataset, dtype):
+        """With the catalog in one block, a served score is the user
+        vector times the model's ``score_context``, bit for bit."""
+        model = make_model(dataset, dtype=dtype)
+        service = RecommenderService(model, ServingConfig(k=6, batching=False))
         service.observe_history("u", [2, 5, 8, 11])
         got = service.recommend("u")
-        vec = model.encode_users(service.sessions.get("u").window()[None, :][0])
-        table16 = model.score_context().astype(np.float16).astype(np.float32)
-        scores = vec.astype(np.float32) @ table16
+        vec = model.encode_users(service.sessions.get("u").window())
+        scores = vec @ model.score_context()
         want = full_sort_topk(
             scores, 6, exclude=[np.array([2, 5, 8, 11])], exclude_padding=True
         )
+        assert got.scores.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(got.ids, want.ids)
-        np.testing.assert_allclose(got.scores, want.scores, rtol=1e-6, atol=1e-7)
+        np.testing.assert_array_equal(got.scores, want.scores)
 
     def test_recommend_many_matches_singles(self, dataset):
         model = make_model(dataset, dtype="float64")
@@ -488,7 +492,7 @@ class TestServicePathEquivalence:
         for user, got in zip(users, batched.recommend_many(users)):
             want = single.recommend(user)
             np.testing.assert_array_equal(got.ids, want.ids)
-            np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(got.scores, want.scores)
         assert batched.stats()["batches"] == 1
 
     @pytest.mark.parametrize("name", ["GRU4Rec", "SASRec"])
@@ -566,6 +570,58 @@ class TestMicroBatching:
         result = service.recommend("brand-new-user")
         assert result.ids.shape == (1, 4)
         assert (result.ids[0] != 0).all()
+
+
+#: users in the batch-invariance property's catalog of sessions
+INVARIANCE_USERS = 6
+
+
+@pytest.fixture(scope="module")
+def invariance_model(dataset):
+    # d=64: a multi-row float32 GEMM rounds differently from the one-row
+    # product at this width, so a batch-dependent scorer fails the property
+    return make_model(dataset, hidden_dim=64)
+
+
+class TestBatchInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=st.lists(st.integers(0, INVARIANCE_USERS - 1), min_size=1, max_size=10),
+        fresh=st.lists(st.booleans(), min_size=INVARIANCE_USERS, max_size=INVARIANCE_USERS),
+        k=st.integers(1, 12),
+        block_size=st.sampled_from([1, 5, 13, 34, 8192]),
+        fault_first=st.booleans(),
+    )
+    def test_answer_is_the_users_answer_alone(
+        self, dataset, invariance_model, batch, fresh, k, block_size, fault_first
+    ):
+        """Any ``recommend_many`` composition — duplicates, fresh and
+        dirty sessions, after a batch that failed at ``serve.score`` —
+        gives each user the ids and score bits it gets served alone."""
+        config = ServingConfig(k=k, block_size=block_size, batching=False)
+        rng = np.random.default_rng(21)
+        histories = [
+            rng.integers(1, dataset.num_items + 1, size=int(rng.integers(1, 12))).tolist()
+            for _ in range(INVARIANCE_USERS)
+        ]
+
+        def build():
+            service = RecommenderService(invariance_model, config)
+            for user, history in enumerate(histories):
+                service.observe_history(user, history)
+                if fresh[user]:
+                    service.recommend_many([user])  # cache the vector
+            return service
+
+        served, alone = build(), build()
+        if fault_first:
+            with inject(FaultInjector().crash_at("serve.score")):
+                assert all(r.degraded for r in served.recommend_many(batch))
+        for user, got in zip(batch, served.recommend_many(batch)):
+            want = alone.recommend_many([user])[0]
+            assert not got.degraded
+            np.testing.assert_array_equal(got.ids, want.ids)
+            assert got.scores.tobytes() == want.scores.tobytes()
 
 
 class TestServingConfigValidation:

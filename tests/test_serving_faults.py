@@ -22,6 +22,7 @@ The load-bearing properties, each pinned deterministically via
   scored under exactly one table reference.
 """
 
+import sys
 import threading
 import time
 
@@ -422,6 +423,37 @@ class TestDegradedMode:
                 with pytest.raises(InjectedIOError):
                     service.recommend(0)
             assert service.stats()["model_errors"] == 1
+
+    def test_concurrent_model_errors_are_all_counted(self, dataset):
+        """Inline callers fail their batches at once; no count is lost."""
+        model = make_model(dataset)
+        threads_n, repeat = 8, 40
+        injector = FaultInjector().crash_at("serve.score", times=threads_n * repeat)
+        outcomes = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RecommenderService(model, ServingConfig(batching=False)) as service:
+                users = seed_users(service, dataset, threads_n)
+
+                def worker(uid):
+                    for _ in range(repeat):
+                        result = service.recommend(uid)
+                        outcomes.append(result.degraded)
+
+                threads = [threading.Thread(target=worker, args=(u,)) for u in users]
+                with inject(injector):
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                stats = service.stats()
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(outcomes) == threads_n * repeat and all(outcomes)
+        assert stats["model_errors"] == threads_n * repeat
+        assert stats["degraded"] == threads_n * repeat
 
     def test_degrade_on_stale_serves_fallback_then_recovers(self, dataset):
         model = make_model(dataset)
